@@ -5,8 +5,8 @@
 //	mcctl get <digest>                                      # job status + result
 //	mcctl wait <digest>                                     # poll to completion
 //	mcctl watch <digest>                                    # stream NDJSON events
-//	mcctl stats                                             # scheduler statistics
-//	mcctl stats -watch                                      # live-refresh summary line
+//	mcctl stats                                             # worker or coordinator statistics
+//	mcctl stats -watch                                      # live-refresh summary line (worker)
 //	mcctl trace <digest>                                    # Perfetto trace download
 //	mcctl metrics -lint                                     # Prometheus scrape + lint
 //	mcctl health                                            # ok | degraded | draining
@@ -51,8 +51,8 @@ commands:
   wait [-poll D] <digest>                     poll a job to completion
   watch [-follow=false] <digest>              stream the job's events as NDJSON,
                                               reconnecting dropped streams
-  stats [-watch] [-interval D]                print scheduler statistics; -watch
-                                              live-refreshes a summary line with deltas
+  stats [-watch] [-interval D]                print the service statistics; -watch
+                                              live-refreshes a worker's summary line
   trace [-o FILE] <digest>                    download a finished job's Perfetto trace
                                               (Chrome trace-event JSON; open in ui.perfetto.dev)
   metrics [-lint]                             print the Prometheus /metrics exposition;
@@ -238,11 +238,13 @@ func cmdStats(ctx context.Context, client *serve.Client, args []string) error {
 		return err
 	}
 	if !*watch {
-		st, err := client.Stats(ctx)
-		if err != nil {
+		// Printed as served: a worker and a coordinator answer in different
+		// shapes.
+		var body json.RawMessage
+		if err := client.GetJSON(ctx, "/v1/stats", &body); err != nil {
 			return err
 		}
-		return printJSON(st)
+		return printJSON(body)
 	}
 	return watchStats(ctx, client, *interval)
 }
@@ -261,10 +263,14 @@ func watchStats(ctx context.Context, client *serve.Client, interval time.Duratio
 	defer tick.Stop()
 	for {
 		st, err := client.Stats(ctx)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil // interrupted mid-request
-			}
+		var shape *json.UnmarshalTypeError
+		switch {
+		case err != nil && ctx.Err() != nil:
+			return nil // interrupted mid-request
+		case errors.As(err, &shape):
+			// A coordinator's /v1/stats has the fleet shape.
+			return fmt.Errorf("stats -watch reads a worker's statistics and %s is not a worker (a fleet coordinator?): use a worker or `mcctl fleet`", client.BaseURL)
+		case err != nil:
 			return err
 		}
 		depth := 0
@@ -278,7 +284,7 @@ func watchStats(ctx context.Context, client *serve.Client, interval time.Duratio
 		}
 		status := fmt.Sprintf(
 			"up %s | queue %d | jobs %d (+%d) done %d (+%d) failed %d | p50 %dms p99 %dms | cache %.1f%% | drops %d",
-			(time.Duration(st.UptimeSeconds)*time.Second).String(),
+			(time.Duration(st.UptimeSeconds) * time.Second).String(),
 			depth, st.Jobs.Submitted, dSub, st.Jobs.Executed, dExec, st.Jobs.Failed,
 			st.Latency.P50Ms, st.Latency.P99Ms, 100*st.Cache.HitRatio,
 			st.Events.DroppedEvents)

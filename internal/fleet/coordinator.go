@@ -3,27 +3,32 @@ package fleet
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log/slog"
-	"runtime"
-	"sync"
+	"path/filepath"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/serve"
 	"repro/internal/serve/fsio"
-	"repro/internal/serve/journal"
 )
 
-// Coordinator errors surfaced to the API layer.
-var (
-	// ErrBusy reports that the fleet's aggregate admission budget is
-	// exhausted — every usable worker queue is full or the coordinator is
-	// at its concurrent-job limit (HTTP 429 + Retry-After).
-	ErrBusy = errors.New("fleet: worker queues full, retry later")
-	// ErrDraining reports that the coordinator is shutting down (503).
-	ErrDraining = errors.New("fleet: draining, not accepting jobs")
+// The coordinator's job records, replies and errors are the serve
+// scheduler's; these names keep fleet callers compiling.
+var ErrDraining = serve.ErrDraining
+
+type (
+	JobView        = serve.JobStatus
+	SubmitResponse = serve.SubmitResponse
+	ShardStatus    = serve.ShardStatus
+	ShardState     = serve.ShardState
+)
+
+const (
+	ShardPending = serve.ShardPending
+	ShardRunning = serve.ShardRunning
+	ShardDone    = serve.ShardDone
+	ShardFailed  = serve.ShardFailed
 )
 
 // Config parameterises a coordinator.
@@ -42,19 +47,19 @@ type Config struct {
 	ShardWait time.Duration
 	// Heartbeat is the registry probe cadence (default 1s).
 	Heartbeat time.Duration
-	// MaxJobs bounds concurrently running logical jobs (default 4).
-	MaxJobs int
-	// CacheEntries bounds the in-memory result cache (default 256).
+	// Shards bounds concurrently running logical jobs: the scheduler's
+	// shard count (default 4).
+	Shards int
+	// CacheEntries bounds the in-memory merged-result cache (default 256).
 	CacheEntries int
-	// SpoolDir, if non-empty, persists shard and merged results — the
-	// store that makes coordinator recovery cheap (finished shards are
-	// found, not re-run).
+	// SpoolDir, if non-empty, persists merged results, and shard progress
+	// as checkpoints under SpoolDir/checkpoints.
 	SpoolDir string
-	// JournalPath, if non-empty, enables the write-ahead fleet journal:
-	// logical jobs are journaled at admission and replayed on restart.
+	// JournalPath, if non-empty, enables the write-ahead journal: logical
+	// jobs are journaled at admission and replayed on restart.
 	JournalPath string
-	// FS is the filesystem seam under spool and journal (default: the
-	// real filesystem). Tests inject faults here.
+	// FS is the filesystem seam under spool, checkpoints and journal
+	// (default: the real filesystem). Tests inject faults here.
 	FS fsio.FS
 	// Logger, if non-nil, receives structured coordinator logs.
 	Logger *slog.Logger
@@ -62,10 +67,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.ShardsPerJob < 1 {
-		c.ShardsPerJob = 2 * len(c.Workers)
-		if c.ShardsPerJob < 1 {
-			c.ShardsPerJob = 1
-		}
+		c.ShardsPerJob = max(1, 2*len(c.Workers))
 	}
 	if c.AssignRetries < 1 {
 		c.AssignRetries = 3
@@ -76,271 +78,90 @@ func (c Config) withDefaults() Config {
 	if c.Heartbeat <= 0 {
 		c.Heartbeat = time.Second
 	}
-	if c.MaxJobs < 1 {
-		c.MaxJobs = 4
-	}
-	if c.CacheEntries < 1 {
-		c.CacheEntries = 256
-	}
 	return c
 }
 
-// ShardState is one shard's dispatch lifecycle.
-type ShardState string
-
-const (
-	ShardPending ShardState = "pending"
-	ShardRunning ShardState = "running"
-	ShardDone    ShardState = "done"
-	ShardFailed  ShardState = "failed"
-)
-
-// shardRun is the mutable dispatch record of one planned shard.
-// Guarded by its FleetJob's mu.
-type shardRun struct {
-	shard    Shard
-	state    ShardState
-	worker   string // URL of the worker it last ran on
-	attempts int    // dispatch attempts (1 + reassignments)
-	result   json.RawMessage
-	errMsg   string
-	queuedMs int64 // worker-reported queue wait of the successful attempt
-	runMs    int64 // worker-reported execution time of the successful attempt
-	start    time.Time
-	end      time.Time
-	cached   bool // result came from the coordinator spool (recovery)
-}
-
-// FleetJob is one tracked logical job: its plan and the dispatch state
-// of every shard.
-type FleetJob struct {
-	plan *Plan
-	done chan struct{}
-	tail *serve.LineTail // this job's shard lifecycle events, NDJSON
-
-	mu        sync.Mutex
-	state     serve.State
-	shards    []*shardRun
-	result    json.RawMessage
-	errMsg    string
-	cachedHit bool
-	recovered bool
-	coalesced uint64
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
-}
-
-// Digest returns the logical job's content address.
-func (f *FleetJob) Digest() serve.Digest { return f.plan.Digest }
-
-// Done is closed when the job reaches a terminal state.
-func (f *FleetJob) Done() <-chan struct{} { return f.done }
-
-// ShardStatus is the serialisable dispatch state of one shard.
-type ShardStatus struct {
-	Index    int          `json:"index"`
-	Digest   serve.Digest `json:"digest"`
-	State    ShardState   `json:"state"`
-	Worker   string       `json:"worker,omitempty"`
-	Attempts int          `json:"attempts,omitempty"`
-	Cached   bool         `json:"cached,omitempty"`
-	QueuedMs int64        `json:"queuedMs,omitempty"`
-	RunMs    int64        `json:"runMs,omitempty"`
-	Error    string       `json:"error,omitempty"`
-}
-
-// JobView is the fleet GET /v1/jobs/{id} reply: the serve-compatible
-// job record (so serve.Client works against a coordinator unchanged)
-// plus the per-shard dispatch table.
-type JobView struct {
-	serve.JobStatus
-	Shards []ShardStatus `json:"shards,omitempty"`
-}
-
-// Status snapshots the job in serve's wire shape. Attempts counts
-// dispatch attempts across all shards.
-func (f *FleetJob) Status() JobView {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	v := JobView{JobStatus: serve.JobStatus{
-		ID:        f.plan.Digest,
-		Kind:      f.plan.Spec.Kind,
-		State:     f.state,
-		Cached:    f.cachedHit,
-		Recovered: f.recovered,
-		Coalesced: f.coalesced,
-		Error:     f.errMsg,
-	}}
-	if !f.submitted.IsZero() && !f.started.IsZero() {
-		v.QueuedMs = f.started.Sub(f.submitted).Milliseconds()
+// scheduler is the scheduler config a library-built coordinator runs on.
+func (c Config) scheduler() serve.Config {
+	return serve.Config{
+		Shards:       c.Shards,
+		CacheEntries: c.CacheEntries,
+		SpoolDir:     c.SpoolDir,
+		JournalPath:  c.JournalPath,
+		FS:           c.FS,
+		Logger:       c.Logger,
 	}
-	if !f.started.IsZero() && !f.finished.IsZero() {
-		v.RunMs = f.finished.Sub(f.started).Milliseconds()
-	}
-	if f.state == serve.StateDone {
-		v.Result = f.result
-	}
-	for _, sr := range f.shards {
-		v.Attempts += sr.attempts
-		v.Shards = append(v.Shards, ShardStatus{
-			Index:    sr.shard.Index,
-			Digest:   sr.shard.Digest,
-			State:    sr.state,
-			Worker:   sr.worker,
-			Attempts: sr.attempts,
-			Cached:   sr.cached,
-			QueuedMs: sr.queuedMs,
-			RunMs:    sr.runMs,
-			Error:    sr.errMsg,
-		})
-	}
-	return v
 }
 
-// shardTable is the checkpointed shard assignment table: the per-shard
-// completion watermark the coordinator persists under the logical
-// digest so a restart can report (and skip) finished shards without
-// re-deriving everything from the spool alone.
-type shardTable struct {
-	Shards []shardTableEntry `json:"shards"`
-}
-
-type shardTableEntry struct {
-	Index    int          `json:"index"`
-	Digest   serve.Digest `json:"digest"`
-	State    ShardState   `json:"state"`
-	Worker   string       `json:"worker,omitempty"`
-	Attempts int          `json:"attempts,omitempty"`
-}
-
-// Coordinator fronts the /v1 jobs API for a fleet of workers: it plans,
-// dispatches, reassigns and merges. One Coordinator is one logical
-// scheduler; its journal and spool make a SIGKILL survivable.
+// Coordinator is a serve.Scheduler whose Runner plans a logical job,
+// dispatches its shards to a registry of workers, and merges their
+// results. Admission, coalescing, the cache, the journal, drain and the
+// job records are the scheduler's; the coordinator adds the dispatch.
 type Coordinator struct {
+	*serve.Scheduler
 	cfg      Config
 	registry *Registry
-	jnl      *journal.Journal
-	cache    *serve.Cache
-	table    *serve.CheckpointStore
-	logger   *slog.Logger
+	tail     *serve.LineTail // fleet event NDJSON lines (/v1/fleet/events)
 
-	tail *serve.LineTail // fleet event NDJSON lines (/v1/fleet/events)
-
-	mu       sync.Mutex
-	jobs     []*FleetJob                  // submit order, for stable iteration
-	byID     map[serve.Digest]*FleetJob   // lookup only; never ranged over
-	active   int
-	draining bool
-
-	runCtx       context.Context
-	runCancel    context.CancelFunc
-	wg           sync.WaitGroup
-	shutdownOnce sync.Once
-	start        time.Time
-
-	submitted        atomic.Uint64
-	coalescedTotal   atomic.Uint64
-	cachedTotal      atomic.Uint64
-	completed        atomic.Uint64
-	failed           atomic.Uint64
-	rejectedBusy     atomic.Uint64
-	rejectedDraining atomic.Uint64
-	reassigned       atomic.Uint64
-	recoveredJobs    atomic.Uint64
-	shardsDispatched atomic.Uint64
+	dispatched atomic.Uint64
+	reassigned atomic.Uint64
 }
 
 // fleetTailCapacity bounds the fleet event tail; shard lifecycle events
 // are far sparser than protocol events, so a small tail covers hours.
 const fleetTailCapacity = 4096
 
-// NewCoordinator builds a coordinator, opening its journal and spool
-// and replaying any logical jobs that were accepted but unfinished when
-// the previous process died. Recovered jobs re-enter dispatch when
-// Start is called; shards whose results are already in the spool are
-// merged without re-running.
+// NewCoordinator builds a coordinator. Logical jobs accepted but
+// unfinished when a previous process died are replayed from the journal
+// at once; their dispatch waits for workers, which Start brings up.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
+	return newCoordinator(cfg, cfg.scheduler())
+}
+
+// newCoordinator builds a coordinator on the given scheduler config, whose
+// Runner, job timeout and checkpoint directory it sets.
+func newCoordinator(cfg Config, sc serve.Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Workers) == 0 {
 		return nil, fmt.Errorf("fleet: no workers configured")
 	}
-	fs := cfg.FS
-	if fs == nil {
-		fs = fsio.OS{}
-	}
-	cfg.FS = fs
-	cache, err := serve.NewCache(cfg.CacheEntries, cfg.SpoolDir, fs)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: spool: %w", err)
-	}
+	cfg.Logger = sc.Logger // dispatch logs where the scheduler logs
 	c := &Coordinator{
 		cfg:      cfg,
 		registry: NewRegistry(cfg.Workers, cfg.Heartbeat),
-		cache:    cache,
-		logger:   cfg.Logger,
 		tail:     serve.NewLineTail(fleetTailCapacity),
-		byID:     make(map[serve.Digest]*FleetJob),
 	}
-	//lint:allow determinism -- service uptime anchor; not simulation state
-	c.start = time.Now()
-	c.runCtx, c.runCancel = context.WithCancel(context.Background())
-	if cfg.SpoolDir != "" {
-		table, err := serve.NewCheckpointStore(cfg.SpoolDir+"/shardtables", fs)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: shard tables: %w", err)
-		}
-		c.table = table
+	sc.Runner = c.run
+	// Shard progress is each job's checkpoint, kept beside the spool;
+	// without a spool a restart has nothing to resume from anyway.
+	sc.CheckpointDir = ""
+	if sc.SpoolDir != "" {
+		sc.CheckpointDir = filepath.Join(sc.SpoolDir, "checkpoints")
 	}
-	if cfg.JournalPath != "" {
-		jnl, info, err := journal.Open(fs, cfg.JournalPath)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: journal: %w", err)
-		}
-		c.jnl = jnl
-		for _, rec := range info.Pending {
-			c.recoverJob(rec)
-		}
+	// ShardWait bounds every dispatch; a logical job has no bound of its
+	// own, so a reassignment late in a long job is not cut short.
+	sc.JobTimeout = -1
+	sched, err := serve.NewScheduler(sc)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
 	}
+	c.Scheduler = sched
 	return c, nil
 }
 
-// Start launches the registry heartbeats and re-enters dispatch for
-// recovered jobs.
-func (c *Coordinator) Start() {
-	c.registry.Start()
-	c.mu.Lock()
-	pending := make([]*FleetJob, 0, len(c.jobs))
-	for _, j := range c.jobs {
-		j.mu.Lock()
-		if j.state == serve.StateQueued {
-			pending = append(pending, j)
-		}
-		j.mu.Unlock()
-	}
-	c.mu.Unlock()
-	for _, j := range pending {
-		c.launch(j)
-	}
-}
+// Start launches the registry heartbeats.
+func (c *Coordinator) Start() { c.registry.Start() }
 
-// logInfo logs when a logger is configured.
-func (c *Coordinator) logInfo(msg string, args ...any) {
-	if c.logger != nil {
-		c.logger.Info(msg, args...)
-	}
-}
-
-func (c *Coordinator) logWarn(msg string, args ...any) {
-	if c.logger != nil {
-		c.logger.Warn(msg, args...)
-	}
+// Stop aborts immediately: in-flight dispatch is cancelled (the journal
+// keeps those jobs pending) and the heartbeats end.
+func (c *Coordinator) Stop() {
+	c.Scheduler.Stop()
+	c.registry.Stop()
 }
 
 // event renders one fleet lifecycle event into the coordinator-wide
-// NDJSON tail, and — when it concerns a tracked job — into that job's
-// own tail, the stream /v1/jobs/{id}/events serves.
-func (c *Coordinator) event(j *FleetJob, kind string, fields map[string]any) {
+// NDJSON tail and into the job's own event stream.
+func (c *Coordinator) event(log *serve.ShardLog, kind string, fields map[string]any) {
 	line := map[string]any{"kind": kind}
 	//lint:allow determinism -- copying into a map; json.Marshal sorts keys, so the rendered line is order-independent
 	for k, v := range fields {
@@ -351,288 +172,119 @@ func (c *Coordinator) event(j *FleetJob, kind string, fields map[string]any) {
 		return
 	}
 	c.tail.Append(b)
-	if j != nil && j.tail != nil {
-		j.tail.Append(b)
-	}
+	log.Line(b)
 }
 
-// journalAppend logs one record, tolerating degradation (mirrors the
-// serve scheduler's policy: durability degrades, serving never stops).
-func (c *Coordinator) journalAppend(r journal.Record) {
-	if c.jnl == nil {
-		return
-	}
-	if err := c.jnl.Append(r); err != nil && !errors.Is(err, journal.ErrDegraded) {
-		c.logWarn("fleet journal degraded", "err", err)
-	}
+// progress is a coordinator job's checkpoint: the results of the shards
+// finished so far. Each carries its shard digest, so an entry that no
+// longer matches the re-derived plan is ignored, not adopted.
+type progress struct {
+	Shards []doneShard `json:"shards"`
 }
 
-// newJob builds the FleetJob for a plan, marking spool-recovered shards
-// done immediately.
-func (c *Coordinator) newJob(plan *Plan) *FleetJob {
-	j := &FleetJob{
-		plan:  plan,
-		done:  make(chan struct{}),
-		tail:  serve.NewLineTail(fleetTailCapacity),
-		state: serve.StateQueued,
-	}
-	//lint:allow determinism -- job lifecycle timestamps; not simulation state
-	j.submitted = time.Now()
-	for _, sh := range plan.Shards {
-		sr := &shardRun{shard: sh, state: ShardPending}
-		if e, ok := c.cache.Get(sh.Digest); ok {
-			sr.state = ShardDone
-			sr.result = e.Result
-			sr.cached = true
-		}
-		j.shards = append(j.shards, sr)
-	}
-	return j
+type doneShard struct {
+	Index  int             `json:"index"`
+	Digest serve.Digest    `json:"digest"`
+	Result json.RawMessage `json:"result"`
 }
 
-// recoverJob replays one journaled logical job after a restart: the
-// plan is re-derived from the journaled spec (planning is
-// deterministic, so the shard table matches the pre-crash one), spooled
-// shard results are adopted, and the remainder waits for Start.
-func (c *Coordinator) recoverJob(rec journal.Record) {
-	spec, err := serve.DecodeSpec(rec.Spec)
-	if err != nil {
-		c.journalAppend(journal.Record{Op: journal.OpFail, ID: rec.ID})
-		c.logWarn("fleet recovery: undecodable spec", "id", rec.ID, "err", err)
-		return
-	}
-	plan, err := NewPlan(spec, c.cfg.ShardsPerJob)
-	if err != nil || string(plan.Digest) != rec.ID {
-		c.journalAppend(journal.Record{Op: journal.OpFail, ID: rec.ID})
-		c.logWarn("fleet recovery: plan mismatch", "id", rec.ID)
-		return
-	}
-	j := c.newJob(plan)
-	j.recovered = true
-	c.recoveredJobs.Add(1)
-	done := 0
-	for _, sr := range j.shards {
-		if sr.state == ShardDone {
-			done++
-		}
-	}
-	c.mu.Lock()
-	c.jobs = append(c.jobs, j)
-	c.byID[plan.Digest] = j
-	c.active++
-	c.mu.Unlock()
-	c.event(j, "job-recovered", map[string]any{
-		"job": plan.Digest.Short(), "shards": len(j.shards), "spooled": done,
-	})
-	c.logInfo("fleet recovery: job replayed",
-		"id", plan.Digest.Short(), "shards", len(j.shards), "spooled", done)
+// shardResult is one dispatch goroutine's outcome.
+type shardResult struct {
+	index  int
+	result json.RawMessage
+	err    error
 }
 
-// Submit admits one logical job: content-address it, serve it from the
-// cache or coalesce onto an identical in-flight job when possible,
-// otherwise plan it and launch dispatch. The admission semantics mirror
-// serve.Scheduler.Submit so the fleet API is a drop-in front.
-func (c *Coordinator) Submit(spec *serve.JobSpec) (*FleetJob, serve.Admission, error) {
+// run is the coordinator's serve.Runner. It plans the logical job,
+// adopts the shard results its checkpoint holds, dispatches the rest
+// concurrently, checkpoints each result as it lands, and merges. Planning
+// is deterministic, so a job replayed after a crash re-derives the same
+// shard table and reruns only what its checkpoint lacks.
+func (c *Coordinator) run(ctx context.Context, spec *serve.JobSpec, opt serve.ExecOptions) (json.RawMessage, error) {
 	plan, err := NewPlan(spec, c.cfg.ShardsPerJob)
 	if err != nil {
-		return nil, serve.AdmissionNew, err
+		return nil, err
 	}
-	canonical, _, err := spec.Canonical()
-	if err != nil {
-		return nil, serve.AdmissionNew, err
-	}
-
-	c.mu.Lock()
-	if c.draining {
-		c.mu.Unlock()
-		c.rejectedDraining.Add(1)
-		return nil, serve.AdmissionNew, ErrDraining
-	}
-	if existing, ok := c.byID[plan.Digest]; ok {
-		existing.mu.Lock()
-		terminal := existing.state == serve.StateDone || existing.state == serve.StateFailed
-		if !terminal {
-			existing.coalesced++
+	log := opt.Shards
+	short := plan.Digest.Short()
+	results := make([]json.RawMessage, len(plan.Shards))
+	var saved progress
+	if opt.Checkpoint != nil {
+		var prior progress
+		if raw, ok := opt.Checkpoint.Load(); ok && json.Unmarshal(raw, &prior) == nil {
+			for _, d := range prior.Shards {
+				if d.Index >= 0 && d.Index < len(plan.Shards) && plan.Shards[d.Index].Digest == d.Digest && len(d.Result) > 0 {
+					results[d.Index] = d.Result
+					saved.Shards = append(saved.Shards, d)
+				}
+			}
 		}
-		existing.mu.Unlock()
-		c.mu.Unlock()
-		if terminal {
-			c.cachedTotal.Add(1)
-			return existing, serve.AdmissionCached, nil
+	}
+	table := make([]serve.ShardStatus, len(plan.Shards))
+	var pending []int
+	for i, sh := range plan.Shards {
+		table[i] = serve.ShardStatus{Index: i, Digest: sh.Digest, State: ShardPending}
+		if results[i] != nil {
+			table[i].State, table[i].Cached = ShardDone, true
+		} else {
+			pending = append(pending, i)
 		}
-		c.coalescedTotal.Add(1)
-		return existing, serve.AdmissionCoalesced, nil
 	}
-	if e, ok := c.cache.Get(plan.Digest); ok {
-		// Merged result already spooled: born-terminal job, no dispatch.
-		j := &FleetJob{plan: plan, done: make(chan struct{}),
-			tail: serve.NewLineTail(fleetTailCapacity), state: serve.StateDone,
-			result: e.Result, cachedHit: true}
-		close(j.done)
-		c.jobs = append(c.jobs, j)
-		c.byID[plan.Digest] = j
-		c.mu.Unlock()
-		c.cachedTotal.Add(1)
-		return j, serve.AdmissionCached, nil
-	}
-	if c.active >= c.cfg.MaxJobs || (c.registry.Usable() > 0 && c.registry.QueueHeadroom() <= 0) {
-		c.mu.Unlock()
-		c.rejectedBusy.Add(1)
-		return nil, serve.AdmissionNew, ErrBusy
-	}
-	j := c.newJob(plan)
-	c.jobs = append(c.jobs, j)
-	c.byID[plan.Digest] = j
-	c.active++
-	c.mu.Unlock()
-
-	c.submitted.Add(1)
-	c.journalAppend(journal.Record{Op: journal.OpAccept, ID: string(plan.Digest), Spec: canonical})
-	c.event(j, "job-accepted", map[string]any{
-		"job": plan.Digest.Short(), "kind": string(spec.Kind), "shards": len(plan.Shards),
+	log.Init(table)
+	c.event(log, "job-planned", map[string]any{
+		"job": short, "jobKind": string(spec.Kind), "shards": len(plan.Shards),
+		"adopted": len(plan.Shards) - len(pending),
 	})
-	c.launch(j)
-	return j, serve.AdmissionNew, nil
-}
 
-// Job looks a logical job up by digest.
-func (c *Coordinator) Job(d serve.Digest) (*FleetJob, bool) {
-	c.mu.Lock()
-	j, ok := c.byID[d]
-	c.mu.Unlock()
-	return j, ok
-}
-
-// launch runs a job's dispatch on its own goroutine, joined by Drain.
-func (c *Coordinator) launch(j *FleetJob) {
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		c.runJob(c.runCtx, j)
-	}()
-}
-
-// saveTable checkpoints the job's shard table under its logical digest.
-func (c *Coordinator) saveTable(j *FleetJob) {
-	if c.table == nil {
-		return
+	// Each dispatch goroutine sends exactly once; the buffer holds every
+	// send, so none blocks, and this goroutine alone saves checkpoints.
+	done := make(chan shardResult, len(pending))
+	for _, i := range pending {
+		go func(i int) {
+			res, err := c.runShard(ctx, plan, log, table[i])
+			//lint:allow ctxflow -- the buffer holds every send, so this never blocks
+			done <- shardResult{index: i, result: res, err: err}
+		}(i)
 	}
-	j.mu.Lock()
-	t := shardTable{Shards: make([]shardTableEntry, 0, len(j.shards))}
-	for _, sr := range j.shards {
-		t.Shards = append(t.Shards, shardTableEntry{
-			Index: sr.shard.Index, Digest: sr.shard.Digest,
-			State: sr.state, Worker: sr.worker, Attempts: sr.attempts,
-		})
-	}
-	j.mu.Unlock()
-	b, err := json.Marshal(t)
-	if err != nil {
-		return
-	}
-	if err := c.table.Save(j.plan.Digest, b); err != nil {
-		c.logWarn("fleet shard table save failed", "id", j.plan.Digest.Short(), "err", err)
-	}
-}
-
-// runJob drives one logical job to a terminal state: dispatch every
-// pending shard concurrently, wait for all of them, merge.
-func (c *Coordinator) runJob(ctx context.Context, j *FleetJob) {
-	j.mu.Lock()
-	j.state = serve.StateRunning
-	//lint:allow determinism -- job lifecycle timestamps; not simulation state
-	j.started = time.Now()
-	pending := make([]*shardRun, 0, len(j.shards))
-	for _, sr := range j.shards {
-		if sr.state != ShardDone {
-			pending = append(pending, sr)
+	failed := make([]error, len(plan.Shards))
+	for range pending {
+		//lint:allow ctxflow -- every dispatch goroutine sends once, and its worker submit honours ctx, so the receive is bounded
+		r := <-done
+		if r.err != nil {
+			failed[r.index] = r.err
+			continue
+		}
+		results[r.index] = r.result
+		if opt.Checkpoint != nil {
+			saved.Shards = append(saved.Shards, doneShard{Index: r.index, Digest: plan.Shards[r.index].Digest, Result: r.result})
+			if b, err := json.Marshal(saved); err == nil {
+				//lint:allow errsink -- best effort: a lost save costs a shard rerun after a crash, never a wrong result; the store counts failures and degrades
+				_ = opt.Checkpoint.Save(b)
+			}
 		}
 	}
-	j.mu.Unlock()
-	c.saveTable(j)
-
-	var wg sync.WaitGroup
-	for _, sr := range pending {
-		wg.Add(1)
-		go func(sr *shardRun) {
-			defer wg.Done()
-			c.runShard(ctx, j, sr)
-		}(sr)
-	}
-	wg.Wait()
 
 	// Merge exactly one result per shard index — a reassigned shard that
 	// raced two workers still contributes a single entry, and equal
 	// digests guarantee equal bytes whichever worker's reply landed.
-	j.mu.Lock()
-	results := make([]json.RawMessage, len(j.shards))
-	failMsg := ""
-	for i, sr := range j.shards {
-		if sr.state != ShardDone {
-			if failMsg == "" {
-				failMsg = fmt.Sprintf("shard %d: %s", sr.shard.Index, sr.errMsg)
-			}
-			continue
-		}
-		results[i] = sr.result
-	}
-	j.mu.Unlock()
-
-	if failMsg == "" {
-		merged, err := j.plan.Merge(results)
+	for i, err := range failed {
 		if err != nil {
-			failMsg = err.Error()
-		} else {
-			c.finishJob(j, merged, "")
-			return
+			err = fmt.Errorf("shard %d: %w", i, err)
+			kind := "job-failed"
+			if ctx.Err() != nil {
+				kind = "job-aborted" // shutdown: the journal keeps the job pending
+			}
+			c.event(log, kind, map[string]any{"job": short, "error": err.Error()})
+			return nil, err
 		}
 	}
-	c.finishJob(j, nil, failMsg)
-}
-
-// finishJob moves a job to its terminal state, spools the merged
-// result, journals the completion and wakes waiters.
-func (c *Coordinator) finishJob(j *FleetJob, merged json.RawMessage, errMsg string) {
-	// A failure caused by coordinator shutdown is an abort, not a verdict
-	// on the job: the journal keeps its accept record pending so the next
-	// start replays the job and adopts whatever shards already spooled —
-	// the same resume-don't-refail contract the worker scheduler has.
-	aborted := errMsg != "" && c.runCtx.Err() != nil
-	canonical, _, cerr := j.plan.Spec.Canonical()
-	j.mu.Lock()
-	//lint:allow determinism -- job lifecycle timestamps; not simulation state
-	j.finished = time.Now()
-	if errMsg == "" {
-		j.state = serve.StateDone
-		j.result = merged
-	} else {
-		j.state = serve.StateFailed
-		j.errMsg = errMsg
+	merged, err := plan.Merge(results)
+	if err != nil {
+		c.event(log, "job-failed", map[string]any{"job": short, "error": err.Error()})
+		return nil, err
 	}
-	j.mu.Unlock()
-	c.saveTable(j)
-	if errMsg == "" {
-		if cerr == nil {
-			c.cache.Put(j.plan.Digest, serve.Entry{Spec: canonical, Result: merged})
-		}
-		c.journalAppend(journal.Record{Op: journal.OpDone, ID: string(j.plan.Digest)})
-		c.completed.Add(1)
-		c.event(j, "job-done", map[string]any{"job": j.plan.Digest.Short()})
-		c.logInfo("fleet job done", "id", j.plan.Digest.Short())
-	} else if aborted {
-		c.event(j, "job-aborted", map[string]any{"job": j.plan.Digest.Short(), "error": errMsg})
-		c.logWarn("fleet job aborted by shutdown; journal keeps it pending",
-			"id", j.plan.Digest.Short(), "err", errMsg)
-	} else {
-		c.journalAppend(journal.Record{Op: journal.OpFail, ID: string(j.plan.Digest)})
-		c.failed.Add(1)
-		c.event(j, "job-failed", map[string]any{"job": j.plan.Digest.Short(), "error": errMsg})
-		c.logWarn("fleet job failed", "id", j.plan.Digest.Short(), "err", errMsg)
-	}
-	c.mu.Lock()
-	c.active--
-	c.mu.Unlock()
-	close(j.done)
+	c.event(log, "job-done", map[string]any{"job": short})
+	return merged, nil
 }
 
 // runShard dispatches one shard until it succeeds, permanently fails,
@@ -640,14 +292,19 @@ func (c *Coordinator) finishJob(j *FleetJob, merged json.RawMessage, errMsg stri
 // timeout, death mid-wait) reassigns to the next-best worker; a
 // deterministic job failure on the worker fails the shard outright —
 // the same spec would fail anywhere.
-func (c *Coordinator) runShard(ctx context.Context, j *FleetJob, sr *shardRun) {
+func (c *Coordinator) runShard(ctx context.Context, plan *Plan, log *serve.ShardLog, st serve.ShardStatus) (json.RawMessage, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.ShardWait)
 	defer cancel()
-	j.mu.Lock()
-	sr.state = ShardRunning
-	//lint:allow determinism -- shard lifecycle timestamps; not simulation state
-	sr.start = time.Now()
-	j.mu.Unlock()
+	sh := plan.Shards[st.Index]
+	short := plan.Digest.Short()
+	st.State = ShardRunning
+	log.Set(st.Index, st)
+	fail := func(err error) (json.RawMessage, error) {
+		st.State, st.Error = ShardFailed, err.Error()
+		log.Set(st.Index, st)
+		c.event(log, "shard-failed", map[string]any{"job": short, "shard": st.Index, "error": err.Error()})
+		return nil, err
+	}
 
 	tried := make(map[string]bool)
 	var lastErr error
@@ -664,37 +321,32 @@ func (c *Coordinator) runShard(ctx context.Context, j *FleetJob, sr *shardRun) {
 			// come back rather than burning the attempt budget.
 			select {
 			case <-ctx.Done():
-				c.failShard(j, sr, fmt.Errorf("no usable worker: %w", ctx.Err()))
-				return
+				return fail(fmt.Errorf("no usable worker: %w", ctx.Err()))
 			case <-time.After(c.cfg.Heartbeat):
 			}
 			attempt--
 			continue
 		}
 
-		j.mu.Lock()
-		sr.attempts++
-		sr.worker = w.URL
-		j.mu.Unlock()
+		st.Attempts++
+		st.Worker = w.URL
+		log.Set(st.Index, st)
+		kind := "shard-dispatched"
 		if attempt > 0 {
 			c.reassigned.Add(1)
-			c.event(j, "shard-reassigned", map[string]any{
-				"job": j.plan.Digest.Short(), "shard": sr.shard.Index, "worker": w.URL,
-			})
-		} else {
-			c.event(j, "shard-dispatched", map[string]any{
-				"job": j.plan.Digest.Short(), "shard": sr.shard.Index, "worker": w.URL,
-			})
+			kind = "shard-reassigned"
 		}
-		c.shardsDispatched.Add(1)
+		c.event(log, kind, map[string]any{"job": short, "shard": st.Index, "worker": w.URL})
+		c.dispatched.Add(1)
 
-		resp, err := w.Client.SubmitRetry(ctx, sr.shard.Spec, -1, 3)
+		resp, err := w.Client.SubmitRetry(ctx, sh.Spec, -1, 3)
 		c.registry.Release(w)
 		if err != nil {
 			lastErr = err
 			tried[w.URL] = true
-			c.logWarn("fleet shard dispatch failed",
-				"job", j.plan.Digest.Short(), "shard", sr.shard.Index, "worker", w.URL, "err", err)
+			if lg := c.cfg.Logger; lg != nil {
+				lg.Warn("fleet shard dispatch failed", "job", short, "shard", st.Index, "worker", w.URL, "err", err)
+			}
 			if ctx.Err() != nil {
 				break
 			}
@@ -702,13 +354,23 @@ func (c *Coordinator) runShard(ctx context.Context, j *FleetJob, sr *shardRun) {
 		}
 		switch resp.Status.State {
 		case serve.StateDone:
-			c.completeShard(j, sr, resp)
-			return
+			// Workers indent their HTTP responses; compact the shard result
+			// so single-shard passthrough and merges are byte-identical to
+			// what a single-node runner produces.
+			result := resp.Status.Result
+			if compacted, err := json.Marshal(result); err == nil {
+				result = compacted
+			}
+			st.State, st.QueuedMs, st.RunMs = ShardDone, resp.Status.QueuedMs, resp.Status.RunMs
+			log.Set(st.Index, st)
+			c.event(log, "shard-done", map[string]any{
+				"job": short, "shard": st.Index, "worker": w.URL, "runMs": resp.Status.RunMs,
+			})
+			return result, nil
 		case serve.StateFailed:
 			// Deterministic failure: the spec itself fails; reassignment
 			// cannot change a pure function's result.
-			c.failShard(j, sr, fmt.Errorf("worker %s: %s", w.URL, resp.Status.Error))
-			return
+			return fail(fmt.Errorf("worker %s: %s", w.URL, resp.Status.Error))
 		default:
 			// The wait returned non-terminal (worker drain or wait budget);
 			// another worker can pick the shard up.
@@ -719,149 +381,5 @@ func (c *Coordinator) runShard(ctx context.Context, j *FleetJob, sr *shardRun) {
 	if lastErr == nil {
 		lastErr = fmt.Errorf("no dispatch attempt succeeded")
 	}
-	c.failShard(j, sr, fmt.Errorf("after %d attempts: %w", c.cfg.AssignRetries, lastErr))
+	return fail(fmt.Errorf("after %d attempts: %w", c.cfg.AssignRetries, lastErr))
 }
-
-// completeShard records a shard result, spools it under the shard
-// digest (the completion watermark recovery reads) and checkpoints the
-// table.
-func (c *Coordinator) completeShard(j *FleetJob, sr *shardRun, resp *serve.SubmitResponse) {
-	canonical, _, cerr := sr.shard.Spec.Canonical()
-	// Workers indent their HTTP responses; compact the shard result so
-	// single-shard passthrough and cache entries are byte-identical to
-	// what a single-node runner produces.
-	result := resp.Status.Result
-	if compacted, err := json.Marshal(result); err == nil {
-		result = compacted
-	}
-	j.mu.Lock()
-	sr.state = ShardDone
-	sr.result = result
-	sr.queuedMs = resp.Status.QueuedMs
-	sr.runMs = resp.Status.RunMs
-	//lint:allow determinism -- shard lifecycle timestamps; not simulation state
-	sr.end = time.Now()
-	j.mu.Unlock()
-	if cerr == nil {
-		c.cache.Put(sr.shard.Digest, serve.Entry{Spec: canonical, Result: result})
-	}
-	c.saveTable(j)
-	c.event(j, "shard-done", map[string]any{
-		"job": j.plan.Digest.Short(), "shard": sr.shard.Index, "worker": sr.worker,
-		"runMs": resp.Status.RunMs,
-	})
-}
-
-// failShard records a permanent shard failure.
-func (c *Coordinator) failShard(j *FleetJob, sr *shardRun, err error) {
-	j.mu.Lock()
-	sr.state = ShardFailed
-	sr.errMsg = err.Error()
-	//lint:allow determinism -- shard lifecycle timestamps; not simulation state
-	sr.end = time.Now()
-	j.mu.Unlock()
-	c.saveTable(j)
-	c.event(j, "shard-failed", map[string]any{
-		"job": j.plan.Digest.Short(), "shard": sr.shard.Index, "error": err.Error(),
-	})
-}
-
-// Draining reports whether the coordinator is shutting down.
-func (c *Coordinator) Draining() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.draining
-}
-
-// Drain stops admissions and waits for running fleet jobs to finish,
-// bounded by ctx. Shard dispatches outlive ctx only until runCancel.
-func (c *Coordinator) Drain(ctx context.Context) error {
-	c.mu.Lock()
-	c.draining = true
-	c.mu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		c.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		c.shutdown()
-		return nil
-	case <-ctx.Done():
-		c.shutdown()
-		//lint:allow ctxflow -- shutdown just cancelled runCtx, so dispatch aborts and the join is bounded; returning before it would race the journal close
-		<-done
-		return fmt.Errorf("fleet: drain incomplete: %w", ctx.Err())
-	}
-}
-
-// Stop aborts immediately: cancel in-flight dispatch, join, close
-// stores. Used by tests simulating a coordinator crash (minus the
-// fsync-durability already covered by the journal's contract).
-func (c *Coordinator) Stop() {
-	c.mu.Lock()
-	c.draining = true
-	c.mu.Unlock()
-	c.shutdown()
-	c.wg.Wait()
-}
-
-func (c *Coordinator) shutdown() {
-	c.shutdownOnce.Do(func() {
-		c.runCancel()
-		c.registry.Stop()
-		if c.jnl != nil {
-			_ = c.jnl.Close()
-		}
-	})
-}
-
-// Health reports the coordinator's own health plus the worker pool
-// summary in the same wire shape workers use, so one probe recipe
-// covers both roles.
-func (c *Coordinator) Health() serve.HealthResponse {
-	h := serve.HealthResponse{
-		Status:    "ok",
-		Version:   serve.BuildVersion(),
-		GoVersion: runtime.Version(),
-	}
-	if c.jnl != nil && c.jnl.Degraded() {
-		h.Journal = "degraded"
-	} else if c.jnl != nil {
-		h.Journal = "ok"
-	} else {
-		h.Journal = "disabled"
-	}
-	if c.cfg.SpoolDir == "" {
-		h.Spool = "disabled"
-	} else if c.cache.Degraded() {
-		h.Spool = "degraded"
-	} else {
-		h.Spool = "ok"
-	}
-	h.Checkpoints = h.Spool // shard tables ride the spool directory
-	if h.Degraded() {
-		h.Status = "degraded"
-	}
-	if c.Draining() {
-		h.Status = "draining"
-	}
-	return h
-}
-
-// RetryAfter estimates the backoff a 429'd caller should honour: one
-// heartbeat per fully-queued usable worker, clamped to [1s, 30s].
-func (c *Coordinator) RetryAfter() time.Duration {
-	d := 2 * c.cfg.Heartbeat
-	if d < time.Second {
-		d = time.Second
-	}
-	if d > 30*time.Second {
-		d = 30 * time.Second
-	}
-	return d
-}
-
-// Tail exposes the fleet event tail for the events endpoint.
-func (c *Coordinator) Tail() *serve.LineTail { return c.tail }

@@ -1,143 +1,52 @@
 package fleet
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
-	"net"
-	"net/http"
-	"os"
-	"os/signal"
-	"path/filepath"
 	"strings"
-	"syscall"
 	"time"
 
-	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
-// DaemonMain is the body of `mcservd -coordinator`: flag parsing,
-// coordinator construction (fleet journal recovery included), HTTP
-// serving and graceful drain. Like the worker daemon it lives in the
-// library so the crash-recovery harness can SIGKILL and restart the
-// exact shipping code path.
-//
-// The returned int is the process exit code: 0 after a clean drain,
-// nonzero on startup failure or an incomplete drain.
+// DaemonMain is the body of `mcservd -coordinator`: serve's daemon body
+// (shared flags, storage, listen, signals and drain) running a
+// coordinator. Its own flags describe the worker pool and the dispatch;
+// the shared ones set its lanes (-shards, the logical jobs dispatching at
+// once), cache, spool and journal. A worker's execution flags
+// (-parallelism, -engine, -job-timeout and the like) are not accepted:
+// a coordinator has nothing to run. The returned int is the process exit
+// code.
 func DaemonMain(args []string) int {
-	fs := flag.NewFlagSet("mcservd -coordinator", flag.ContinueOnError)
 	var (
-		addr          = fs.String("addr", "127.0.0.1:8330", "listen address")
-		workers       = fs.String("workers", "", "comma-separated worker base URLs (required)")
-		shardsPerJob  = fs.Int("shards-per-job", 0, "target shards per logical job (0 = 2x workers)")
-		assignRetries = fs.Int("assign-retries", 3, "dispatch attempts per shard before the job fails")
-		shardWait     = fs.Duration("shard-wait", 10*time.Minute, "end-to-end budget per shard dispatch")
-		heartbeat     = fs.Duration("heartbeat", time.Second, "worker heartbeat cadence")
-		maxJobs       = fs.Int("max-jobs", 4, "concurrent logical jobs")
-		cacheEntries  = fs.Int("cache", 256, "in-memory merged-result cache entries")
-		spool         = fs.String("spool", "", "result spool directory (empty = memory only)")
-		journalPath   = fs.String("journal", "auto", "fleet journal path (auto = <spool>/fleet-journal.wal, none = disabled)")
-		drainTimeout  = fs.Duration("drain-timeout", 5*time.Minute, "graceful drain budget on SIGTERM")
-		portFile      = fs.String("portfile", "", "write the bound listen address to this file once serving")
-		logFormat     = fs.String("log-format", "text", "log output format: text or json")
+		cfg     Config
+		workers string
 	)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	logger, err := obs.NewLogger(os.Stderr, *logFormat, slog.LevelInfo)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mcservd:", err)
-		return 2
-	}
-	logger = logger.With("component", "coordinator")
-
-	var urls []string
-	for _, u := range strings.Split(*workers, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			urls = append(urls, strings.TrimRight(u, "/"))
-		}
-	}
-	if len(urls) == 0 {
-		fmt.Fprintln(os.Stderr, "mcservd: -coordinator requires -workers (comma-separated base URLs)")
-		return 2
-	}
-
-	resolve := func(v, def string) string {
-		switch v {
-		case "auto":
-			if *spool == "" {
-				return ""
+	return serve.RunDaemon(args, serve.Role{
+		Name: "coordinator",
+		Addr: "127.0.0.1:8330",
+		Flags: func(fs *flag.FlagSet, _ *serve.Config) {
+			fs.StringVar(&workers, "workers", "", "comma-separated worker base URLs (required)")
+			fs.IntVar(&cfg.ShardsPerJob, "shards-per-job", 0, "target shards per logical job (0 = 2x workers)")
+			fs.IntVar(&cfg.AssignRetries, "assign-retries", 3, "dispatch attempts per shard before the job fails")
+			fs.DurationVar(&cfg.ShardWait, "shard-wait", 10*time.Minute, "end-to-end budget per shard dispatch")
+			fs.DurationVar(&cfg.Heartbeat, "heartbeat", time.Second, "worker heartbeat cadence")
+		},
+		Start: func(sc serve.Config) (serve.Service, error) {
+			for _, u := range strings.Split(workers, ",") {
+				if u = strings.TrimSpace(u); u != "" {
+					cfg.Workers = append(cfg.Workers, strings.TrimRight(u, "/"))
+				}
 			}
-			return filepath.Join(*spool, def)
-		case "none", "off":
-			return ""
-		}
-		return v
-	}
-
-	coord, err := NewCoordinator(Config{
-		Workers:       urls,
-		ShardsPerJob:  *shardsPerJob,
-		AssignRetries: *assignRetries,
-		ShardWait:     *shardWait,
-		Heartbeat:     *heartbeat,
-		MaxJobs:       *maxJobs,
-		CacheEntries:  *cacheEntries,
-		SpoolDir:      *spool,
-		JournalPath:   resolve(*journalPath, "fleet-journal.wal"),
-		Logger:        logger,
+			if len(cfg.Workers) == 0 {
+				return serve.Service{}, fmt.Errorf("-coordinator requires -workers (comma-separated base URLs)")
+			}
+			c, err := newCoordinator(cfg, sc)
+			if err != nil {
+				return serve.Service{}, err
+			}
+			c.Start()
+			return serve.Service{Sched: c.Scheduler, Handler: NewServer(c), Close: c.registry.Stop}, nil
+		},
 	})
-	if err != nil {
-		logger.Error("startup failed", "err", err)
-		return 1
-	}
-	coord.Start()
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		logger.Error("listen failed", "addr", *addr, "err", err)
-		return 1
-	}
-	if *portFile != "" {
-		if err := os.WriteFile(*portFile, []byte(ln.Addr().String()), 0o644); err != nil {
-			logger.Error("portfile write failed", "path", *portFile, "err", err)
-			return 1
-		}
-	}
-	srv := &http.Server{Handler: NewServer(coord)}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	logger.Info("listening",
-		"addr", ln.Addr().String(), "workers", len(urls),
-		"shards_per_job", coord.cfg.ShardsPerJob, "spool", *spool)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-serveErr:
-		logger.Error("serve failed", "err", err)
-		return 1
-	case <-ctx.Done():
-	}
-	stop()
-
-	logger.Info("draining", "budget", drainTimeout.String())
-	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	drainErr := coord.Drain(dctx)
-	if err := srv.Shutdown(dctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		logger.Warn("http shutdown", "err", err)
-	}
-	st := coord.Stats()
-	logger.Info("drained",
-		"completed", st.Jobs.Completed, "failed", st.Jobs.Failed,
-		"shards_dispatched", st.Shards.Dispatched, "reassigned", st.Shards.Reassigned,
-		"recovered", st.Jobs.Recovered)
-	if drainErr != nil {
-		logger.Error("drain incomplete", "err", drainErr)
-		return 1
-	}
-	return 0
 }

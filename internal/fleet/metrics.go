@@ -2,14 +2,15 @@ package fleet
 
 import (
 	"io"
-	"strconv"
-	"time"
 
 	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
 // JobCounters are the coordinator's logical-job admission and
-// completion totals.
+// completion totals, read from its scheduler: Submitted counts every
+// admission (coalesced and cached ones too), Cached the merged-result
+// cache hits, Completed the executions that did not fail.
 type JobCounters struct {
 	Submitted        uint64 `json:"submitted"`
 	Coalesced        uint64 `json:"coalesced"`
@@ -41,28 +42,32 @@ type Stats struct {
 	Workers       []WorkerStatus `json:"workers"`
 }
 
-// Stats snapshots the coordinator.
+// Stats snapshots the coordinator: the scheduler's admission and
+// execution totals in the fleet's terms, the dispatch totals, and the
+// registry's view of every worker.
 func (c *Coordinator) Stats() Stats {
-	//lint:allow determinism -- serving-layer uptime clock; not simulation state
-	uptime := time.Since(c.start)
-	c.mu.Lock()
-	active := c.active
-	c.mu.Unlock()
+	st := c.Scheduler.Stats()
+	active := 0
+	for _, j := range c.Records() {
+		if s := j.Status().State; s == serve.StateQueued || s == serve.StateRunning {
+			active++
+		}
+	}
 	return Stats{
-		Draining:      c.Draining(),
-		UptimeSeconds: uptime.Seconds(),
+		Draining:      st.Draining,
+		UptimeSeconds: st.UptimeSeconds,
 		Jobs: JobCounters{
-			Submitted:        c.submitted.Load(),
-			Coalesced:        c.coalescedTotal.Load(),
-			Cached:           c.cachedTotal.Load(),
-			Completed:        c.completed.Load(),
-			Failed:           c.failed.Load(),
-			Recovered:        c.recoveredJobs.Load(),
-			RejectedBusy:     c.rejectedBusy.Load(),
-			RejectedDraining: c.rejectedDraining.Load(),
+			Submitted:        st.Jobs.Submitted,
+			Coalesced:        st.Jobs.Coalesced,
+			Cached:           st.Cache.Hits,
+			Completed:        st.Jobs.Executed - min(st.Jobs.Failed, st.Jobs.Executed), // read apart, so a failure can land in between
+			Failed:           st.Jobs.Failed,
+			Recovered:        st.Durability.RecoveredJobs,
+			RejectedBusy:     st.Jobs.RejectedQueueFull,
+			RejectedDraining: st.Jobs.RejectedDraining,
 		},
 		Shards: ShardCounters{
-			Dispatched: c.shardsDispatched.Load(),
+			Dispatched: c.dispatched.Load(),
 			Reassigned: c.reassigned.Load(),
 		},
 		ActiveJobs:    active,
@@ -98,13 +103,13 @@ func WriteMetrics(w io.Writer, st Stats) error {
 	gauge("mc_fleet_uptime_seconds", "Seconds since the coordinator started.", st.UptimeSeconds)
 	gauge("mc_fleet_draining", "1 while the coordinator refuses new work for shutdown.", b(st.Draining))
 
-	counter("mc_fleet_jobs_submitted_total", "Logical jobs admitted and planned.", st.Jobs.Submitted)
+	counter("mc_fleet_jobs_submitted_total", "Logical jobs admitted, including cache hits and coalesced duplicates.", st.Jobs.Submitted)
 	counter("mc_fleet_jobs_coalesced_total", "Submissions merged into an identical in-flight logical job.", st.Jobs.Coalesced)
-	counter("mc_fleet_jobs_cached_total", "Submissions answered from the merged-result cache.", st.Jobs.Cached)
+	counter("mc_fleet_jobs_cached_total", "Merged-result cache hits.", st.Jobs.Cached)
 	counter("mc_fleet_jobs_completed_total", "Logical jobs merged to completion.", st.Jobs.Completed)
-	counter("mc_fleet_jobs_failed_total", "Logical jobs that failed (shard failure or merge error).", st.Jobs.Failed)
+	counter("mc_fleet_jobs_failed_total", "Logical jobs that failed (shard failure, merge error or shutdown abort).", st.Jobs.Failed)
 	counter("mc_fleet_jobs_recovered_total", "Logical jobs replayed from the fleet journal after a restart.", st.Jobs.Recovered)
-	counter("mc_fleet_jobs_rejected_busy_total", "Submissions 429'd for exhausted worker-queue headroom or job limit.", st.Jobs.RejectedBusy)
+	counter("mc_fleet_jobs_rejected_busy_total", "Submissions 429'd because the coordinator's queue was full.", st.Jobs.RejectedBusy)
 	counter("mc_fleet_jobs_rejected_draining_total", "Submissions rejected during drain.", st.Jobs.RejectedDraining)
 
 	counter("mc_fleet_shards_dispatched_total", "Shard dispatch attempts sent to workers.", st.Shards.Dispatched)
@@ -160,20 +165,4 @@ func stateEnum(s WorkerState) int {
 		return 3
 	}
 	return 0
-}
-
-// workerShort abbreviates a worker URL for span labels: the host:port
-// suffix carries all the identity a timeline needs.
-func workerShort(url string) string {
-	for i := 0; i+2 < len(url); i++ {
-		if url[i] == ':' && url[i+1] == '/' && url[i+2] == '/' {
-			return url[i+3:]
-		}
-	}
-	return url
-}
-
-// shardLabel renders "shard N" without fmt.
-func shardLabel(i int) string {
-	return "shard " + strconv.Itoa(i)
 }

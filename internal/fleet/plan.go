@@ -1,8 +1,8 @@
 // Package fleet is the distributed layer over the simulation service: a
-// coordinator that fronts the same /v1 jobs API as a single mcservd,
-// splits one logical job into content-addressed shard jobs, dispatches
-// them to a registry of worker mcservd instances, and deterministically
-// merges the shard results.
+// coordinator — a serve.Scheduler behind serve's own /v1 jobs API —
+// whose Runner splits one logical job into content-addressed shard jobs,
+// dispatches them to a registry of worker mcservd instances, and
+// deterministically merges the shard results.
 //
 // The merge invariant is the package's whole contract: for any worker
 // count, any shard count, and any interleaving of worker failures and
@@ -52,7 +52,7 @@ type Shard struct {
 // is a pure function of (logical spec, shard target): re-planning after
 // a coordinator crash reproduces the identical shard table, which is
 // what lets recovery re-derive assignments from the journaled logical
-// spec plus the spooled shard results alone.
+// spec plus the shard results in the job's checkpoint alone.
 type Plan struct {
 	// Spec is the normalized logical job spec.
 	Spec *serve.JobSpec

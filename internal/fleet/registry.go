@@ -72,11 +72,15 @@ type WorkerStatus struct {
 
 // Registry tracks the worker pool: it heartbeats every worker on a
 // fixed cadence via GET /v1/healthz (state, durability, build identity)
-// and GET /v1/stats (queue depths, for backpressure aggregation and
-// least-loaded placement).
+// and GET /v1/stats (queue depths, federated into the coordinator's
+// stats and metrics).
 type Registry struct {
 	workers   []*Worker // fixed after construction; per-worker state has its own lock
 	heartbeat time.Duration
+	// pickMu makes a Pick's choice and its reservation one step, so
+	// shards dispatched together spread over the least-loaded workers
+	// instead of all reserving the one they each saw idle.
+	pickMu sync.Mutex
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -211,6 +215,8 @@ func (r *Registry) beat(w *Worker) {
 // It reserves a slot on the returned worker (undo with Release). Nil
 // means no worker is currently usable.
 func (r *Registry) Pick(exclude map[string]bool) *Worker {
+	r.pickMu.Lock()
+	defer r.pickMu.Unlock()
 	pick := func(wantDegraded bool) *Worker {
 		var best *Worker
 		bestLoad := 0
@@ -252,9 +258,10 @@ func (r *Registry) Release(w *Worker) {
 	w.mu.Unlock()
 }
 
-// QueueHeadroom sums (capacity - depth) over dispatchable workers: the
-// fleet's aggregate admission budget. Zero or negative means every
-// usable queue is full and the coordinator should 429 new logical jobs.
+// QueueHeadroom sums (capacity - depth - inflight) over dispatchable
+// workers: the free queue slots the pool last reported. Zero or negative
+// means every usable queue is full; shards sent then wait in worker
+// 429 retries.
 func (r *Registry) QueueHeadroom() int {
 	head := 0
 	for _, w := range r.workers {

@@ -338,7 +338,9 @@ func (c *Client) SubmitRetry(ctx context.Context, spec *JobSpec, wait time.Durat
 	return nil, lastErr
 }
 
-// Stats fetches the scheduler statistics.
+// Stats fetches a worker's scheduler statistics. A fleet coordinator
+// answers /v1/stats in the fleet's shape, which this does not decode;
+// read that with GetJSON into fleet.Stats.
 func (c *Client) Stats(ctx context.Context) (*Stats, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/stats", nil)
 	if err != nil {

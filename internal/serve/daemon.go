@@ -27,27 +27,111 @@ import (
 // The returned int is the process exit code: 0 after a clean drain,
 // nonzero on startup failure or an incomplete drain.
 func DaemonMain(args []string) int {
-	fs := flag.NewFlagSet("mcservd", flag.ContinueOnError)
+	var ckptDir, mutexProf, blockProf string
+	return RunDaemon(args, Role{
+		Addr: "127.0.0.1:8329",
+		// The execution flags are the worker's own: a coordinator runs no
+		// simulation, so it does not accept them.
+		Flags: func(fs *flag.FlagSet, cfg *Config) {
+			fs.IntVar(&cfg.QueueDepth, "queue", 64, "per-shard queue depth")
+			fs.DurationVar(&cfg.JobTimeout, "job-timeout", 10*time.Minute, "per-attempt job timeout")
+			fs.IntVar(&cfg.MaxRetries, "retries", 1, "max retries for transient job failures")
+			fs.IntVar(&cfg.Parallelism, "parallelism", 1, "intra-job parallelism (sweep points, verify patterns)")
+			fs.StringVar(&ckptDir, "checkpoints", "auto", "job checkpoint directory (auto = <spool>/checkpoints, none = disabled)")
+			fs.IntVar(&cfg.CheckpointEvery, "checkpoint-every", 8, "checkpoint cadence in work units (sweep points, campaign trials)")
+			fs.IntVar(&cfg.CaptureEvents, "capture-events", 0, "per-job trace capture buffer in events (0 = default)")
+			// The engine is an execution knob like parallelism: it changes
+			// how fast jobs run, never their content-addressed results, so
+			// it is a daemon flag and stays out of the job specs.
+			fs.Func("engine", "bit-slot engine: fast or reference (identical traces; default fast)", func(v string) error {
+				return sim.SetDefaultEngine(sim.EngineChoice(v))
+			})
+			fs.StringVar(&mutexProf, "mutexprofile", "", "write a mutex-contention profile here on clean exit")
+			fs.StringVar(&blockProf, "blockprofile", "", "write a blocking-event profile here on clean exit")
+		},
+		Start: func(cfg Config) (Service, error) {
+			cfg.CheckpointDir = storagePath(ckptDir, cfg.SpoolDir, "checkpoints")
+			// Contention profiling is opt-in and sampled at full rate; the
+			// profiles are written when the daemon exits cleanly, so a drain
+			// (not a SIGKILL) is required to get them.
+			stopContention := obs.StartContention(mutexProf, blockProf)
+			stop := func() {
+				if err := stopContention(); err != nil {
+					cfg.Logger.Warn("contention profile", "err", err)
+				}
+			}
+			sched, err := NewScheduler(cfg)
+			if err != nil {
+				stop()
+				return Service{}, err
+			}
+			return Service{Sched: sched, Handler: NewServer(sched), Close: stop}, nil
+		},
+	})
+}
+
+// Role is what a daemon serves on DaemonMain's body, which owns the
+// shared flags, storage resolution, listen, portfile, signals and drain.
+// A plain worker is one role and the fleet coordinator the other.
+type Role struct {
+	// Name labels the flag set and the log component ("mcservd" if empty).
+	Name string
+	// Addr is the default listen address.
+	Addr string
+	// Flags, if non-nil, registers the role's own flags; those that set
+	// scheduler config bind straight into cfg, which Start then receives.
+	Flags func(fs *flag.FlagSet, cfg *Config)
+	// Start builds the service from the scheduler config the flags
+	// describe.
+	Start func(cfg Config) (Service, error)
+}
+
+// Service is a started role: the scheduler the daemon drains, the HTTP
+// handler it serves, and an optional hook run after the drain.
+type Service struct {
+	Sched   *Scheduler
+	Handler http.Handler
+	Close   func()
+}
+
+// storagePath resolves a storage flag: "auto" is name under the spool
+// (nothing without one), "none" or "off" disables, anything else is a
+// path.
+func storagePath(v, spool, name string) string {
+	switch v {
+	case "auto":
+		if spool == "" {
+			return ""
+		}
+		return filepath.Join(spool, name)
+	case "none", "off":
+		return ""
+	}
+	return v
+}
+
+// RunDaemon runs role on the daemon body and returns the process exit
+// code, as DaemonMain does.
+func RunDaemon(args []string, role Role) int {
+	name, component := "mcservd", "mcservd"
+	if role.Name != "" {
+		name, component = "mcservd -"+role.Name, role.Name
+	}
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	var cfg Config
+	fs.IntVar(&cfg.Shards, "shards", 4, "job lanes: jobs running at once (logical jobs dispatching at once on a coordinator)")
+	fs.IntVar(&cfg.CacheEntries, "cache", 256, "in-memory result cache entries")
+	fs.StringVar(&cfg.SpoolDir, "spool", "", "result spool directory (empty = memory only)")
 	var (
-		addr         = fs.String("addr", "127.0.0.1:8329", "listen address")
-		shards       = fs.Int("shards", 4, "worker shards")
-		queue        = fs.Int("queue", 64, "per-shard queue depth")
-		jobTimeout   = fs.Duration("job-timeout", 10*time.Minute, "per-attempt job timeout")
-		retries      = fs.Int("retries", 1, "max retries for transient job failures")
-		parallelism  = fs.Int("parallelism", 1, "intra-job parallelism (sweep points, verify patterns)")
-		cacheEntries = fs.Int("cache", 256, "in-memory result cache entries")
-		spool        = fs.String("spool", "", "result spool directory (empty = memory only)")
+		addr         = fs.String("addr", role.Addr, "listen address")
 		journalPath  = fs.String("journal", "auto", "write-ahead job journal path (auto = <spool>/journal.wal, none = disabled)")
-		ckptDir      = fs.String("checkpoints", "auto", "job checkpoint directory (auto = <spool>/checkpoints, none = disabled)")
-		ckptEvery    = fs.Int("checkpoint-every", 8, "checkpoint cadence in work units (sweep points, campaign trials)")
 		drainTimeout = fs.Duration("drain-timeout", 5*time.Minute, "graceful drain budget on SIGTERM")
 		portFile     = fs.String("portfile", "", "write the bound listen address to this file once serving")
 		logFormat    = fs.String("log-format", "text", "log output format: text or json")
-		captureEv    = fs.Int("capture-events", 0, "per-job trace capture buffer in events (0 = default)")
-		engine       = fs.String("engine", string(sim.EngineFast), "bit-slot engine: fast or reference (identical traces)")
-		mutexProf    = fs.String("mutexprofile", "", "write a mutex-contention profile here on clean exit")
-		blockProf    = fs.String("blockprofile", "", "write a blocking-event profile here on clean exit")
 	)
+	if role.Flags != nil {
+		role.Flags(fs, &cfg)
+	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -56,63 +140,25 @@ func DaemonMain(args []string) int {
 		fmt.Fprintln(os.Stderr, "mcservd:", err)
 		return 2
 	}
-	logger = logger.With("component", "mcservd")
+	logger = logger.With("component", component)
 
-	// The engine is an execution knob like parallelism: it changes how
-	// fast jobs run, never their content-addressed results, so it is a
-	// daemon flag and stays out of the job specs.
-	if err := sim.SetDefaultEngine(sim.EngineChoice(*engine)); err != nil {
-		fmt.Fprintln(os.Stderr, "mcservd:", err)
-		return 2
-	}
-
-	// Contention profiling is opt-in and sampled at full rate; the
-	// profiles are written when the daemon exits cleanly, so a drain (not
-	// a SIGKILL) is required to get them.
-	stopContention := obs.StartContention(*mutexProf, *blockProf)
-	defer func() {
-		if err := stopContention(); err != nil {
-			logger.Warn("contention profile", "err", err)
-		}
-	}()
-
-	resolve := func(v, def string) string {
-		switch v {
-		case "auto":
-			if *spool == "" {
-				return ""
-			}
-			return filepath.Join(*spool, def)
-		case "none", "off":
-			return ""
-		}
-		return v
-	}
-
-	sched, err := NewScheduler(Config{
-		Shards:          *shards,
-		QueueDepth:      *queue,
-		JobTimeout:      *jobTimeout,
-		MaxRetries:      *retries,
-		Parallelism:     *parallelism,
-		CacheEntries:    *cacheEntries,
-		CaptureEvents:   *captureEv,
-		SpoolDir:        *spool,
-		JournalPath:     resolve(*journalPath, "journal.wal"),
-		CheckpointDir:   resolve(*ckptDir, "checkpoints"),
-		CheckpointEvery: *ckptEvery,
-		Logger:          logger,
-		// Durability degradation and journal recovery land in the daemon
-		// log as NDJSON. The no-op line hook makes the stream flush per
-		// line: these events are rare and must be visible immediately —
-		// buffered, they would never surface (nothing flushes a service
-		// sink) and a crash would eat them.
-		ServiceEvents: obs.NewJSONLStream(os.Stderr, 0, func() {}),
-	})
+	cfg.JournalPath = storagePath(*journalPath, cfg.SpoolDir, "journal.wal")
+	cfg.Logger = logger
+	// Durability degradation and journal recovery land in the daemon log
+	// as NDJSON. The no-op line hook makes the stream flush per line:
+	// these events are rare and must be visible immediately — buffered,
+	// they would never surface (nothing flushes a service sink) and a
+	// crash would eat them.
+	cfg.ServiceEvents = obs.NewJSONLStream(os.Stderr, 0, func() {})
+	svc, err := role.Start(cfg)
 	if err != nil {
 		logger.Error("startup failed", "err", err)
 		return 1
 	}
+	if svc.Close != nil {
+		defer svc.Close()
+	}
+	sched := svc.Sched
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -125,12 +171,12 @@ func DaemonMain(args []string) int {
 			return 1
 		}
 	}
-	srv := &http.Server{Handler: NewServer(sched)}
+	srv := &http.Server{Handler: svc.Handler}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	logger.Info("listening",
-		"addr", ln.Addr().String(), "shards", *shards, "queue", *queue,
-		"cache", *cacheEntries, "spool", *spool)
+		"addr", ln.Addr().String(), "shards", cfg.Shards,
+		"cache", cfg.CacheEntries, "spool", cfg.SpoolDir)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

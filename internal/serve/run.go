@@ -33,6 +33,10 @@ type ExecOptions struct {
 	// checkpoint holds only completed work, so a resumed run is
 	// byte-identical to an uninterrupted one.
 	Checkpoint *CheckpointIO
+	// Shards, if non-nil, is where a Runner that splits the job across
+	// other services records its shard table and lifecycle lines. Runs
+	// that execute locally ignore it.
+	Shards *ShardLog
 }
 
 // CheckpointIO is the progress plumbing a job run gets from the

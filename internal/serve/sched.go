@@ -53,8 +53,9 @@ const (
 
 // Config parameterises the scheduler.
 type Config struct {
-	// Shards is the number of worker shards (default 4). Jobs are routed
-	// by digest, so identical specs always land on the same shard.
+	// Shards is the number of worker shards (default 4): the jobs that
+	// run at once. A job goes to its digest's shard, or to an idle shard
+	// when that one is busy.
 	Shards int
 	// QueueDepth bounds each shard's FIFO (default 64); a full queue
 	// rejects with ErrQueueFull.
@@ -159,6 +160,7 @@ type Job struct {
 
 	streamMu chan struct{} // capacity-1 try-lock for the events streamer
 	tail     *LineTail     // rendered NDJSON lines, for ?from= reconnects
+	shards   ShardLog      // the Runner's shard table, when it splits the job
 
 	mu        sync.Mutex
 	phases    []jobPhase
@@ -218,10 +220,12 @@ type JobStatus struct {
 	EventsDropped uint64          `json:"eventsDropped,omitempty"`
 	Error         string          `json:"error,omitempty"`
 	Result        json.RawMessage `json:"result,omitempty"`
+	Shards        []ShardStatus   `json:"shards,omitempty"`
 }
 
 // Status snapshots the job.
 func (j *Job) Status() JobStatus {
+	shards := j.shards.statuses()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	s := JobStatus{
@@ -235,6 +239,7 @@ func (j *Job) Status() JobStatus {
 		Coalesced: j.coalesced,
 		Error:     j.errMsg,
 		Result:    j.result,
+		Shards:    shards,
 	}
 	if !j.started.IsZero() && !j.submitted.IsZero() {
 		s.QueuedMs = j.started.Sub(j.submitted).Milliseconds()
@@ -250,6 +255,7 @@ func (j *Job) Status() JobStatus {
 
 type shard struct {
 	ch       chan *Job
+	load     atomic.Int64 // jobs queued or running here
 	executed atomic.Uint64
 	busyMs   atomic.Uint64
 }
@@ -462,6 +468,7 @@ func (s *Scheduler) recoverJob(rec journal.Record) {
 	// scheduler escapes, so no Submit or Drain can be concurrent. The send
 	// may still block when recovered jobs outnumber the queue — the
 	// workers are already running and drain it.
+	s.shards[sh].load.Add(1)
 	s.shards[sh].ch <- j
 	s.recoveredJobs.Add(1)
 }
@@ -472,15 +479,30 @@ func (s *Scheduler) Cache() *Cache { return s.cache }
 // Metrics exposes the shared simulation-metrics registry.
 func (s *Scheduler) Metrics() *obs.Metrics { return s.metrics }
 
-// shardOf routes a digest to a shard: the first 8 hex digits of the
-// SHA-256 give a uniform index, and equal specs always map to the same
-// shard, so a queued duplicate can never overtake its original.
+// shardOf is a digest's home shard: the first 8 hex digits of the
+// SHA-256 give a uniform index.
 func (s *Scheduler) shardOf(d Digest) int {
 	var v uint64
 	for _, c := range []byte(d.Short()) {
 		v = v<<4 | uint64(hexVal(c))
 	}
 	return int(v % uint64(len(s.shards)))
+}
+
+// laneFor picks the shard a new job runs on: its home shard, unless that
+// one is busy and another is idle. Hashing alone would queue two jobs
+// behind each other on one shard while others sit idle; the single-flight
+// table, not the routing, keeps duplicates apart. Called under s.admit,
+// and only admission raises a load once the scheduler is built, so an
+// idle shard cannot be picked twice.
+func (s *Scheduler) laneFor(d Digest) int {
+	home := s.shardOf(d)
+	for k := range s.shards {
+		if i := (home + k) % len(s.shards); s.shards[i].load.Load() == 0 {
+			return i
+		}
+	}
+	return home
 }
 
 func hexVal(c byte) byte {
@@ -546,7 +568,7 @@ func (s *Scheduler) Submit(spec *JobSpec) (*Job, Admission, error) {
 	s.mu.Unlock()
 
 	j := s.newJob(spec, canonical, digest)
-	sh := s.shardOf(digest)
+	sh := s.laneFor(digest)
 	j.shard = sh
 	// The job enters the single-flight table before it is enqueued: the
 	// worker that runs it deletes the entry when it finishes, so inserting
@@ -569,9 +591,11 @@ func (s *Scheduler) Submit(spec *JobSpec) (*Job, Admission, error) {
 		//lint:allow determinism -- journal latency phase timestamps; not simulation state
 		j.addPhase("journal accept", 0, jnlStart, time.Now())
 	}
+	s.shards[sh].load.Add(1)
 	select {
 	case s.shards[sh].ch <- j:
 	default:
+		s.shards[sh].load.Add(-1)
 		s.mu.Lock()
 		delete(s.inflight, digest)
 		s.mu.Unlock()
@@ -606,6 +630,7 @@ func (s *Scheduler) newJob(spec *JobSpec, canonical []byte, digest Digest) *Job 
 		tail:      NewLineTail(tailCapacity),
 		state:     StateQueued,
 	}
+	j.shards.tail = j.tail
 	// Surface the first lost live-stream event instead of letting the
 	// stream silently thin out: a one-shot service event, a warning log
 	// line, and the overflow counters in /v1/stats and /metrics. The
@@ -697,6 +722,18 @@ func (s *Scheduler) Job(d Digest) (*Job, bool) {
 	return nil, false
 }
 
+// Records snapshots the bounded record table in log order: every job
+// GET /v1/jobs/{id} can answer without falling back to the cache.
+func (s *Scheduler) Records() []*Job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]*Job, 0, len(s.recordLog))
+	for _, d := range s.recordLog {
+		out = append(out, s.records[d])
+	}
+	return out
+}
+
 func (s *Scheduler) worker(si int) {
 	defer s.wg.Done()
 	sh := s.shards[si]
@@ -747,6 +784,7 @@ func (s *Scheduler) runJob(sh *shard, j *Job) {
 			Events:      j.events,
 			Metrics:     metrics,
 			Checkpoint:  s.checkpointIO(j),
+			Shards:      &j.shards,
 		})
 		cancel()
 		//lint:allow determinism -- attempt phase timestamps; not simulation state
@@ -821,6 +859,9 @@ func (s *Scheduler) runJob(sh *shard, j *Job) {
 	s.mu.Lock()
 	delete(s.inflight, j.digest)
 	s.mu.Unlock()
+	// The shard is free before anyone sees the job done, so a caller that
+	// submits on completion finds it idle.
+	sh.load.Add(-1)
 	close(j.done)
 }
 
@@ -1087,8 +1128,7 @@ func (s *Scheduler) Health() HealthResponse {
 
 // BuildVersion is the main module's version as stamped by the Go
 // toolchain ("(devel)" for plain builds, a tag or pseudo-version for
-// module-aware installs). Exported for the fleet coordinator, whose
-// healthz carries the same build identity.
+// module-aware installs).
 func BuildVersion() string {
 	if bi, ok := debug.ReadBuildInfo(); ok && bi.Main.Version != "" {
 		return bi.Main.Version

@@ -47,7 +47,9 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as the indented JSON body of a reply with the given
+// status code.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -56,7 +58,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
+	WriteJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
 // SubmitResponse is the POST /v1/jobs reply.
@@ -121,7 +123,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if st.State == StateDone || st.State == StateFailed {
 		code = http.StatusOK
 	}
-	writeJSON(w, code, SubmitResponse{ID: job.Digest(), Admission: adm.String(), Status: st})
+	WriteJSON(w, code, SubmitResponse{ID: job.Digest(), Admission: adm.String(), Status: st})
 }
 
 // parseWait interprets the ?wait query parameter: absent/false disables
@@ -166,13 +168,14 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "serve: unknown job %s", d.Short())
 		return
 	}
-	writeJSON(w, http.StatusOK, job.Status())
+	WriteJSON(w, http.StatusOK, job.Status())
 }
 
 // handleEvents streams a running job's protocol events as NDJSON, one
-// event per line, flushed as emitted. One streamer per job: a second
-// concurrent reader gets 409. The stream ends when the job reaches a
-// terminal state and the ring is drained.
+// event per line, flushed as emitted; a job its Runner split across
+// workers streams its shard lifecycle lines the same way. One streamer
+// per job: a second concurrent reader gets 409. The stream ends when the
+// job reaches a terminal state and the ring is drained.
 //
 // Events are rendered into a bounded per-job line tail before going to
 // the client, and ?from=N replays the tail from absolute line index N —
@@ -189,14 +192,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "serve: unknown job %s", d.Short())
 		return
 	}
-	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
-	if err != nil {
-		from = 0
-	}
 	if job.ring == nil || job.tail == nil {
 		// Cache hits never ran here; there is no event stream.
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
+		StreamTail(w, r, nil, nil, nil)
 		return
 	}
 	select {
@@ -206,20 +204,38 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "serve: job %s already has an event streamer", d.Short())
 		return
 	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-
-	// The renderer drains ring events into the tail; the loop below ships
-	// tail lines to the client. Decoupling the two is what makes resume
-	// work: every rendered line is indexed before it is sent anywhere.
+	// The renderer drains ring events into the tail before every pass of
+	// the streamer, which ships tail lines to the client. Decoupling the
+	// two is what makes resume work: every rendered line is indexed
+	// before it is sent anywhere.
 	render := obs.NewJSONLStream(&lineSplitter{fn: job.tail.Append}, runTag(job.spec), nil)
-	cursor := from
-	ship := func() bool {
+	StreamTail(w, r, job.tail, job.Done(), func() {
 		job.ring.Drain(render)
 		_ = render.Flush()
-		lines, first := job.tail.Since(cursor)
+	})
+}
+
+// StreamTail serves a line tail as NDJSON from the absolute line index
+// in ?from=N, flushing lines as they appear, until the client goes away
+// or — when done is non-nil — done closes and the tail is drained. pump,
+// if non-nil, runs before every pass to feed the tail. A nil tail
+// serves an empty stream.
+func StreamTail(w http.ResponseWriter, r *http.Request, tail *LineTail, done <-chan struct{}, pump func()) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	if tail == nil {
+		return
+	}
+	cursor, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
+	if err != nil {
+		cursor = 0
+	}
+	flusher, _ := w.(http.Flusher)
+	ship := func() bool {
+		if pump != nil {
+			pump()
+		}
+		lines, first := tail.Since(cursor)
 		cursor = first
 		for _, ln := range lines {
 			if _, err := w.Write(ln); err != nil {
@@ -244,7 +260,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return // client went away
 		}
 		select {
-		case <-job.Done():
+		case <-done: // a nil done never fires: stream until the client leaves
 			ship()
 			return
 		case <-ctx.Done():
@@ -299,11 +315,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		// body says what it lost.
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, h)
+	WriteJSON(w, code, h)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.sched.Stats())
+	WriteJSON(w, http.StatusOK, s.sched.Stats())
 }
 
 // handleMetrics serves the scheduler state as Prometheus text

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -17,9 +18,13 @@ var ErrJobRunning = errors.New("serve: job not finished; trace is available at c
 // the execution attempts and the durability phases (journal appends,
 // checkpoint saves, the cache put), plus one protocol track group per
 // attempt with the per-station spans synthesised from the job's
-// captured event stream. Timestamps are microseconds relative to the
-// job's submission; an attempt's bit slots are scaled to fit its wall
-// duration, so the protocol timeline nests under its attempt span.
+// captured event stream. A job its Runner split across workers also
+// gets one service track per shard: the dispatch window with the
+// worker-reported queue and run sub-spans inside it, so a slow worker
+// shows as a long bar beside its peers. Timestamps are microseconds
+// relative to the job's submission; an attempt's bit slots are scaled
+// to fit its wall duration, so the protocol timeline nests under its
+// attempt span.
 func BuildTrace(j *Job) (*span.Trace, error) {
 	j.mu.Lock()
 	state := j.state
@@ -33,6 +38,7 @@ func BuildTrace(j *Job) (*span.Trace, error) {
 	if state != StateDone && state != StateFailed {
 		return nil, ErrJobRunning
 	}
+	shards := j.shards.runs()
 
 	t0 := submitted
 	if t0.IsZero() {
@@ -66,6 +72,9 @@ func BuildTrace(j *Job) (*span.Trace, error) {
 	}
 	if errMsg != "" {
 		rootArgs["error"] = errMsg
+	}
+	if len(shards) > 0 {
+		rootArgs["shards"] = len(shards)
 	}
 	var capturedEvents []obs.Event
 	if j.capture != nil {
@@ -151,6 +160,79 @@ func BuildTrace(j *Job) (*span.Trace, error) {
 			Offset:     offset,
 			SlotMicros: slotMicros,
 		})
+	}
+
+	for i, sr := range shards {
+		tid := int64(2 + i)
+		tr.Thread(0, tid, "shard "+itoa(sr.Index))
+		args := map[string]any{
+			"shard":    sr.Index,
+			"digest":   sr.Digest.Short(),
+			"state":    string(sr.State),
+			"attempts": sr.Attempts,
+		}
+		if sr.Worker != "" {
+			// The host:port carries all the identity a timeline needs.
+			_, host, ok := strings.Cut(sr.Worker, "://")
+			if !ok {
+				host = sr.Worker
+			}
+			args["worker"] = host
+		}
+		if sr.Cached {
+			args["cached"] = true
+		}
+		if sr.Error != "" {
+			args["error"] = sr.Error
+		}
+		if sr.Cached || sr.start.IsZero() {
+			// No dispatch window: the shard was adopted from the job's
+			// checkpoint, or never dispatched because the job failed first.
+			// A zero-width marker at the job start records which.
+			name := "dispatch (not run)"
+			if sr.Cached {
+				name = "dispatch (adopted)"
+			}
+			tr.Add(span.Span{
+				Name: name, Cat: "fleet", Pid: 0, Tid: tid,
+				Start: us(started), Dur: 0, Args: args,
+			})
+			continue
+		}
+		dispatchStart, dispatchEnd := us(sr.start), us(sr.end)
+		tr.Add(span.Span{
+			Name: "dispatch", Cat: "fleet", Pid: 0, Tid: tid,
+			Start: dispatchStart, Dur: dispatchEnd - dispatchStart, Args: args,
+		})
+		// Worker-side phases, anchored to the end of the dispatch window:
+		// the worker finished running the shard right before the blocking
+		// submit returned, so [end-run, end] approximates execution and the
+		// queue wait sits immediately before it. Millisecond-grain numbers
+		// from the worker's JobStatus, placed on this clock.
+		runUs := float64(sr.RunMs) * 1000
+		queuedUs := float64(sr.QueuedMs) * 1000
+		if window := dispatchEnd - dispatchStart; runUs+queuedUs > window {
+			// A reassigned shard's dispatch window can be shorter than the
+			// successful attempt's worker-side numbers suggest; clip rather
+			// than overhang the track.
+			scale := window / (runUs + queuedUs)
+			runUs *= scale
+			queuedUs *= scale
+		}
+		if runUs > 0 {
+			tr.Add(span.Span{
+				Name: "worker run", Cat: "worker", Pid: 0, Tid: tid,
+				Start: dispatchEnd - runUs, Dur: runUs,
+				Args: map[string]any{"runMs": sr.RunMs},
+			})
+		}
+		if queuedUs > 0 {
+			tr.Add(span.Span{
+				Name: "worker queue", Cat: "worker", Pid: 0, Tid: tid,
+				Start: dispatchEnd - runUs - queuedUs, Dur: queuedUs,
+				Args: map[string]any{"queuedMs": sr.QueuedMs},
+			})
+		}
 	}
 	return tr, nil
 }
