@@ -58,29 +58,6 @@ type Campaign struct {
 	// OnTrial, if non-nil, is called after each trial completes with the
 	// number of trials finished so far, for progress display.
 	OnTrial func(done int)
-	// Resume, if non-nil, restarts the campaign from recorded progress:
-	// trials below Resume.Trial are skipped and the recorded findings and
-	// execution count are preloaded. Because every trial draws from its
-	// own seed-derived RNG, a resumed campaign's result is identical to
-	// an uninterrupted one.
-	Resume *CampaignProgress
-	// OnProgress, if non-nil, is called at every trial boundary with the
-	// cumulative progress — the snapshot a checkpointing caller persists
-	// so a crashed campaign resumes instead of restarting.
-	OnProgress func(p CampaignProgress)
-}
-
-// CampaignProgress is a resumable snapshot of a campaign at a trial
-// boundary: how many trials are fully processed, how many simulator
-// executions they took, and the findings so far. It is the payload the
-// simulation service checkpoints beside the result spool.
-type CampaignProgress struct {
-	// Trial is the number of trials fully processed.
-	Trial int `json:"trial"`
-	// Executions counts simulator runs including shrinking re-executions.
-	Executions int `json:"executions"`
-	// Findings are the counterexamples found in trials [0, Trial).
-	Findings []Finding `json:"findings,omitempty"`
 }
 
 // Finding is one discovered counterexample.
@@ -221,36 +198,10 @@ func (c *Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 	}
 	tel := Telemetry{Events: cc.Events, Metrics: cc.Metrics}
 	res := &CampaignResult{Name: cc.Name, Trials: cc.Trials}
-	start, end := cc.StartTrial, cc.StartTrial+cc.Trials
-	if cc.Resume != nil && cc.Resume.Trial >= cc.StartTrial {
-		// Resume.Trial is a global watermark ("trials below this are
-		// done"); one below StartTrial belongs to a different trial
-		// window and is ignored rather than trusted.
-		start = cc.Resume.Trial
-		if start > end {
-			start = end
-		}
-		res.Executions = cc.Resume.Executions
-		res.Findings = append(res.Findings, cc.Resume.Findings...)
-		if cc.StopAtFirst && len(res.Findings) > 0 {
-			// The interrupted campaign had already stopped at its first
-			// finding; resuming must not search further.
-			return res, nil
-		}
-	}
-	progress := func(done int) {
-		if cc.OnProgress != nil {
-			cc.OnProgress(CampaignProgress{
-				Trial:      done,
-				Executions: res.Executions,
-				Findings:   append([]Finding(nil), res.Findings...),
-			})
-		}
-	}
 	// Per-trial RNGs keep trial t reproducible regardless of how many
 	// faults earlier trials drew.
 	const trialStride int64 = 0x5E3779B97F4A7C15 // odd constant decorrelates trials
-	for trial := start; trial < end; trial++ {
+	for trial := cc.StartTrial; trial < cc.StartTrial+cc.Trials; trial++ {
 		if err := ctx.Err(); err != nil {
 			return res, err
 		}
@@ -270,7 +221,6 @@ func (c *Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 			if cc.OnTrial != nil {
 				cc.OnTrial(trial + 1)
 			}
-			progress(trial + 1)
 			continue
 		}
 		classes := violationClasses(violations)
@@ -298,7 +248,6 @@ func (c *Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 		if cc.OnTrial != nil {
 			cc.OnTrial(trial + 1)
 		}
-		progress(trial + 1)
 		if cc.StopAtFirst {
 			break
 		}

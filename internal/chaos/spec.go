@@ -163,16 +163,6 @@ type CampaignOutcome struct {
 // share. Cancelling ctx stops the search between trials and surfaces
 // ctx's error.
 func RunCampaignSpec(ctx context.Context, spec CampaignSpec, t Telemetry, onTrial func(done int)) (*CampaignOutcome, error) {
-	return RunCampaignSpecResumable(ctx, spec, t, onTrial, nil, nil)
-}
-
-// RunCampaignSpecResumable is RunCampaignSpec with checkpoint plumbing:
-// resume, if non-nil, preloads progress recorded by an earlier run's
-// onProgress callback, and onProgress (if non-nil) observes cumulative
-// progress at every trial boundary. Per-trial RNGs make the resumed
-// outcome identical to an uninterrupted run's — this is the recovery
-// path the simulation service uses for crashed campaign jobs.
-func RunCampaignSpecResumable(ctx context.Context, spec CampaignSpec, t Telemetry, onTrial func(done int), resume *CampaignProgress, onProgress func(CampaignProgress)) (*CampaignOutcome, error) {
 	spec.Normalize()
 	camp, err := spec.Campaign()
 	if err != nil {
@@ -181,8 +171,6 @@ func RunCampaignSpecResumable(ctx context.Context, spec CampaignSpec, t Telemetr
 	camp.Events = t.Events
 	camp.Metrics = t.Metrics
 	camp.OnTrial = onTrial
-	camp.Resume = resume
-	camp.OnProgress = onProgress
 	res, err := camp.RunContext(ctx)
 	if err != nil {
 		return nil, err

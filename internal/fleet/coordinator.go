@@ -175,112 +175,50 @@ func (c *Coordinator) event(log *serve.ShardLog, kind string, fields map[string]
 	log.Line(b)
 }
 
-// progress is a coordinator job's checkpoint: the results of the shards
-// finished so far. Each carries its shard digest, so an entry that no
-// longer matches the re-derived plan is ignored, not adopted.
-type progress struct {
-	Shards []doneShard `json:"shards"`
-}
-
-type doneShard struct {
-	Index  int             `json:"index"`
-	Digest serve.Digest    `json:"digest"`
-	Result json.RawMessage `json:"result"`
-}
-
-// shardResult is one dispatch goroutine's outcome.
-type shardResult struct {
-	index  int
-	result json.RawMessage
-	err    error
-}
-
-// run is the coordinator's serve.Runner. It plans the logical job,
-// adopts the shard results its checkpoint holds, dispatches the rest
-// concurrently, checkpoints each result as it lands, and merges. Planning
-// is deterministic, so a job replayed after a crash re-derives the same
-// shard table and reruns only what its checkpoint lacks.
+// run is the coordinator's serve.Runner: it plans the logical job and
+// feeds a concurrent dispatch to serve's adopt-run-save-merge loop
+// (serve.Plan.Run), keeping only the shard table and the lifecycle
+// events. Planning is deterministic, so a job replayed after a crash
+// re-derives the same shard table and reruns only what its checkpoint
+// lacks.
 func (c *Coordinator) run(ctx context.Context, spec *serve.JobSpec, opt serve.ExecOptions) (json.RawMessage, error) {
-	plan, err := NewPlan(spec, c.cfg.ShardsPerJob)
+	plan, err := serve.NewPlan(spec, c.cfg.ShardsPerJob)
 	if err != nil {
 		return nil, err
 	}
 	log := opt.Shards
 	short := plan.Digest.Short()
-	results := make([]json.RawMessage, len(plan.Shards))
-	var saved progress
-	if opt.Checkpoint != nil {
-		var prior progress
-		if raw, ok := opt.Checkpoint.Load(); ok && json.Unmarshal(raw, &prior) == nil {
-			for _, d := range prior.Shards {
-				if d.Index >= 0 && d.Index < len(plan.Shards) && plan.Shards[d.Index].Digest == d.Digest && len(d.Result) > 0 {
-					results[d.Index] = d.Result
-					saved.Shards = append(saved.Shards, d)
+	table := make([]serve.ShardStatus, len(plan.Shards))
+	merged, err := plan.Run(ctx, opt.Checkpoint, serve.PlanRun{
+		Concurrent: true,
+		Planned: func(adopted []bool) {
+			n := 0
+			for i, sh := range plan.Shards {
+				table[i] = serve.ShardStatus{Index: i, Digest: sh.Digest, State: ShardPending}
+				if adopted[i] {
+					table[i].State, table[i].Cached = ShardDone, true
+					n++
 				}
 			}
-		}
-	}
-	table := make([]serve.ShardStatus, len(plan.Shards))
-	var pending []int
-	for i, sh := range plan.Shards {
-		table[i] = serve.ShardStatus{Index: i, Digest: sh.Digest, State: ShardPending}
-		if results[i] != nil {
-			table[i].State, table[i].Cached = ShardDone, true
-		} else {
-			pending = append(pending, i)
-		}
-	}
-	log.Init(table)
-	c.event(log, "job-planned", map[string]any{
-		"job": short, "jobKind": string(spec.Kind), "shards": len(plan.Shards),
-		"adopted": len(plan.Shards) - len(pending),
-	})
-
-	// Each dispatch goroutine sends exactly once; the buffer holds every
-	// send, so none blocks, and this goroutine alone saves checkpoints.
-	done := make(chan shardResult, len(pending))
-	for _, i := range pending {
-		go func(i int) {
+			log.Init(table)
+			c.event(log, "job-planned", map[string]any{
+				"job": short, "jobKind": string(spec.Kind), "shards": len(plan.Shards), "adopted": n,
+			})
+		},
+		Shard: func(ctx context.Context, i int) (json.RawMessage, error) {
 			res, err := c.runShard(ctx, plan, log, table[i])
-			//lint:allow ctxflow -- the buffer holds every send, so this never blocks
-			done <- shardResult{index: i, result: res, err: err}
-		}(i)
-	}
-	failed := make([]error, len(plan.Shards))
-	for range pending {
-		//lint:allow ctxflow -- every dispatch goroutine sends once, and its worker submit honours ctx, so the receive is bounded
-		r := <-done
-		if r.err != nil {
-			failed[r.index] = r.err
-			continue
-		}
-		results[r.index] = r.result
-		if opt.Checkpoint != nil {
-			saved.Shards = append(saved.Shards, doneShard{Index: r.index, Digest: plan.Shards[r.index].Digest, Result: r.result})
-			if b, err := json.Marshal(saved); err == nil {
-				//lint:allow errsink -- best effort: a lost save costs a shard rerun after a crash, never a wrong result; the store counts failures and degrades
-				_ = opt.Checkpoint.Save(b)
+			if err != nil {
+				return nil, fmt.Errorf("shard %d: %w", i, err)
 			}
-		}
-	}
-
-	// Merge exactly one result per shard index — a reassigned shard that
-	// raced two workers still contributes a single entry, and equal
-	// digests guarantee equal bytes whichever worker's reply landed.
-	for i, err := range failed {
-		if err != nil {
-			err = fmt.Errorf("shard %d: %w", i, err)
-			kind := "job-failed"
-			if ctx.Err() != nil {
-				kind = "job-aborted" // shutdown: the journal keeps the job pending
-			}
-			c.event(log, kind, map[string]any{"job": short, "error": err.Error()})
-			return nil, err
-		}
-	}
-	merged, err := plan.Merge(results)
+			return res, nil
+		},
+	})
 	if err != nil {
-		c.event(log, "job-failed", map[string]any{"job": short, "error": err.Error()})
+		kind := "job-failed"
+		if ctx.Err() != nil {
+			kind = "job-aborted" // shutdown: the journal keeps the job pending
+		}
+		c.event(log, kind, map[string]any{"job": short, "error": err.Error()})
 		return nil, err
 	}
 	c.event(log, "job-done", map[string]any{"job": short})

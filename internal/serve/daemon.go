@@ -38,7 +38,7 @@ func DaemonMain(args []string) int {
 			fs.IntVar(&cfg.MaxRetries, "retries", 1, "max retries for transient job failures")
 			fs.IntVar(&cfg.Parallelism, "parallelism", 1, "intra-job parallelism (sweep points, verify patterns)")
 			fs.StringVar(&ckptDir, "checkpoints", "auto", "job checkpoint directory (auto = <spool>/checkpoints, none = disabled)")
-			fs.IntVar(&cfg.CheckpointEvery, "checkpoint-every", 8, "checkpoint cadence in work units (sweep points, campaign trials)")
+			fs.IntVar(&cfg.CheckpointEvery, "checkpoint-every", 8, "checkpoint chunk size in work units (sweep seeds, campaign trials)")
 			fs.IntVar(&cfg.CaptureEvents, "capture-events", 0, "per-job trace capture buffer in events (0 = default)")
 			// The engine is an execution knob like parallelism: it changes
 			// how fast jobs run, never their content-addressed results, so

@@ -28,9 +28,9 @@ type ExecOptions struct {
 	// the scheduler passes a fork of its shared registry.
 	Metrics *obs.Metrics
 	// Checkpoint, if non-nil, lets long-running kinds (sweeps, campaigns)
-	// persist batch-boundary progress and resume after a crash. Like the
+	// persist their finished chunks and resume after a crash. Like the
 	// other options it never changes what result a job produces — a
-	// checkpoint holds only completed work, so a resumed run is
+	// checkpoint holds only finished chunks, so a resumed run is
 	// byte-identical to an uninterrupted one.
 	Checkpoint *CheckpointIO
 	// Shards, if non-nil, is where a Runner that splits the job across
@@ -41,8 +41,8 @@ type ExecOptions struct {
 
 // CheckpointIO is the progress plumbing a job run gets from the
 // scheduler: Load returns the previously persisted payload (if any),
-// Save replaces it, Every sets the batch cadence in work units (sweep
-// points, campaign trials).
+// Save replaces it, Every sets the chunk size in work units (sweep
+// seeds, campaign trials).
 type CheckpointIO struct {
 	Load  func() (json.RawMessage, bool)
 	Save  func(json.RawMessage) error
@@ -75,87 +75,55 @@ func IsTransient(err error) bool {
 	return errors.As(err, &t)
 }
 
-// sweepResume adapts CheckpointIO to the sweep engine's resume contract:
-// the persisted payload is the completed seed-order prefix of point
-// outcomes. An undecodable payload is ignored — the sweep validates the
-// prefix against its own seed stream anyway, so a bad checkpoint can
-// only cost work, never corrupt a result.
-func sweepResume(ck *CheckpointIO) *sim.SweepResume {
-	if ck == nil {
-		return nil
-	}
-	r := &sim.SweepResume{Every: ck.Every}
-	if raw, ok := ck.Load(); ok {
-		var prior []sim.PointOutcome
-		if json.Unmarshal(raw, &prior) == nil {
-			r.Prior = prior
-		}
-	}
-	r.Save = func(done []sim.PointOutcome) error {
-		b, err := json.Marshal(done)
-		if err != nil {
-			return err
-		}
-		return ck.Save(b)
-	}
-	return r
-}
-
-// ckptGiveUpAfter is how many consecutive Save failures campaignResume
-// tolerates before it stops checkpointing for the rest of the job. It
-// mirrors the CheckpointStore degrade policy: checkpoints are an
-// optimization, so a dead store must cost redundant work on the next
-// restart, never fail the job — but hammering a failing disk at every
-// trial boundary for the rest of a long campaign helps nobody.
-const ckptGiveUpAfter = 3
-
-// campaignResume adapts CheckpointIO to the campaign engine: the payload
-// is a CampaignProgress snapshot, persisted every Every trial
-// boundaries. Save errors are counted, not discarded: one failure is
-// retried at the next boundary (transient ENOSPC heals), a consecutive
-// run of them disables checkpointing for the remainder of the job.
-func campaignResume(ck *CheckpointIO) (*chaos.CampaignProgress, func(chaos.CampaignProgress)) {
-	if ck == nil {
-		return nil, nil
-	}
-	var resume *chaos.CampaignProgress
-	if raw, ok := ck.Load(); ok {
-		var p chaos.CampaignProgress
-		if json.Unmarshal(raw, &p) == nil {
-			resume = &p
-		}
-	}
-	every := ck.Every
-	if every < 1 {
-		every = 1
-	}
-	boundaries := 0
-	failStreak := 0
-	onProgress := func(p chaos.CampaignProgress) {
-		boundaries++
-		if boundaries%every != 0 || failStreak >= ckptGiveUpAfter {
-			return
-		}
-		b, err := json.Marshal(p)
-		if err != nil {
-			return
-		}
-		if err := ck.Save(b); err != nil {
-			failStreak++
-			return
-		}
-		failStreak = 0
-	}
-	return resume, onProgress
-}
-
-// Execute runs one job spec to completion: the default Runner. A
-// cancelled or expired ctx fails the job — partial results are never
-// returned, so nothing incomplete can reach the content-addressed cache.
+// Execute runs one job spec to completion: the default Runner. With a
+// checkpoint store, a sweep or a campaign runs as a Plan of chunks
+// (see chunks) through Plan.Run, so a job that crashed part-way resumes
+// from its finished chunks; the merge is byte-identical to one
+// uninterrupted run. A cancelled or expired ctx fails the job — partial
+// results are never returned, so nothing incomplete can reach the
+// content-addressed cache.
 func Execute(ctx context.Context, spec *JobSpec, opt ExecOptions) (json.RawMessage, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	n := chunks(spec, opt.Checkpoint)
+	if n == 1 {
+		return execute(ctx, spec, opt)
+	}
+	plan, err := NewPlan(spec, n)
+	if err != nil {
+		return nil, err
+	}
+	return plan.Run(ctx, opt.Checkpoint, PlanRun{
+		Shard: func(ctx context.Context, i int) (json.RawMessage, error) {
+			return execute(ctx, plan.Shards[i].Spec, opt)
+		},
+	})
+}
+
+// chunks is how many checkpoint chunks Execute splits a job into:
+// ceil(units/Every) for a sweep's seeds or a campaign's trials. A job
+// runs as one chunk, with no checkpoint I/O, when there is no checkpoint
+// store, when it is a verify, a script or a stop-at-first campaign, or
+// when it has fewer units than Every.
+func chunks(spec *JobSpec, ck *CheckpointIO) int {
+	if ck == nil || ck.Every < 1 {
+		return 1
+	}
+	units := 0
+	switch spec.Kind {
+	case KindSweep:
+		units = spec.Sweep.Seeds
+	case KindCampaign:
+		if !spec.Campaign.StopAtFirst {
+			units = spec.Campaign.Trials
+		}
+	}
+	return max(1, (units+ck.Every-1)/ck.Every)
+}
+
+// execute runs one valid spec as a single chunk.
+func execute(ctx context.Context, spec *JobSpec, opt ExecOptions) (json.RawMessage, error) {
 	var (
 		out any
 		err error
@@ -172,11 +140,10 @@ func Execute(ctx context.Context, spec *JobSpec, opt ExecOptions) (json.RawMessa
 				return opt.Events, m
 			}
 		}
-		out, err = sim.RunSweepSpecResumable(ctx, *spec.Sweep, opt.Parallelism, tel, sweepResume(opt.Checkpoint))
+		out, err = sim.RunSweepSpec(ctx, *spec.Sweep, opt.Parallelism, tel)
 	case KindCampaign:
-		resume, onProgress := campaignResume(opt.Checkpoint)
-		out, err = chaos.RunCampaignSpecResumable(ctx, *spec.Campaign,
-			chaos.Telemetry{Events: opt.Events, Metrics: opt.Metrics}, nil, resume, onProgress)
+		out, err = chaos.RunCampaignSpec(ctx, *spec.Campaign,
+			chaos.Telemetry{Events: opt.Events, Metrics: opt.Metrics}, nil)
 	case KindVerify:
 		out, err = verify.RunSpec(ctx, *spec.Verify, opt.Parallelism)
 	case KindScript:

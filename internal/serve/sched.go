@@ -75,11 +75,11 @@ type Config struct {
 	// accept record is fsync'd before Submit returns, and on startup every
 	// accepted job with no terminal record is replayed.
 	JournalPath string
-	// CheckpointDir, if non-empty, enables batch-boundary checkpoints for
+	// CheckpointDir, if non-empty, enables chunk checkpoints for
 	// long-running jobs, letting a replayed job resume instead of restart.
 	CheckpointDir string
-	// CheckpointEvery is the checkpoint cadence in work units — sweep
-	// points or campaign trials per save (default 8).
+	// CheckpointEvery is the checkpoint chunk size in work units — sweep
+	// seeds or campaign trials per chunk (default 8).
 	CheckpointEvery int
 	// FS is the filesystem seam under the spool, journal and checkpoint
 	// stores (default: the real filesystem). Tests inject faults here.

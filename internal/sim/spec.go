@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -147,5 +148,57 @@ type SweepOutcome struct {
 // stays valid — the same code path serves an interactive SIGINT and a
 // server drain. Parallelism bounds concurrent simulations; tel may be nil.
 func RunSweepSpec(ctx context.Context, spec SweepSpec, parallelism int, tel PointTelemetry) (*SweepOutcome, error) {
-	return RunSweepSpecResumable(ctx, spec, parallelism, tel, nil)
+	spec.Normalize()
+	cfg, err := spec.Config()
+	if err != nil {
+		return nil, err
+	}
+	out := &SweepOutcome{Spec: spec}
+	for _, p := range SweepSeedsObserved(ctx, cfg, spec.SeedList(), parallelism, tel) {
+		if p.Err != nil {
+			if errors.Is(p.Err, context.Canceled) || errors.Is(p.Err, context.DeadlineExceeded) {
+				out.Points = append(out.Points, PointOutcome{Seed: p.Seed, Cancelled: true})
+				continue
+			}
+			return nil, fmt.Errorf("sim: seed %d: %w", p.Seed, p.Err)
+		}
+		out.Points = append(out.Points, outcomeOf(p))
+	}
+	out.Summary = SummarizeOutcomes(out.Points)
+	return out, nil
+}
+
+// outcomeOf converts one completed sweep point.
+func outcomeOf(p SweepPoint) PointOutcome {
+	r := p.Result
+	return PointOutcome{
+		Seed:            p.Seed,
+		Slots:           r.Slots,
+		BitFlips:        r.BitFlips,
+		FramesSent:      r.FramesSent,
+		IMOs:            r.IMOs,
+		Duplicates:      r.Duplicates,
+		LostEverywhere:  r.LostEverywhere,
+		Incomplete:      r.Incomplete,
+		AtomicBroadcast: r.Report.AtomicBroadcast(),
+	}
+}
+
+// SummarizeOutcomes folds serialised point outcomes into the sweep
+// summary — the same totals Summarize derives from live points, so a
+// merge of split sweeps summarises exactly as one run does.
+func SummarizeOutcomes(points []PointOutcome) SweepSummary {
+	var s SweepSummary
+	for _, p := range points {
+		s.Points++
+		if p.Cancelled {
+			s.Cancelled++
+			continue
+		}
+		s.Frames += p.FramesSent
+		s.IMOs += p.IMOs
+		s.Duplicates += p.Duplicates
+		s.Flips += p.BitFlips
+	}
+	return s
 }
